@@ -185,9 +185,9 @@ fn main() {
             threads.to_string(),
             format!("{qps:.0}"),
             format!("{speedup:.2}"),
-            format!("{:.3}", response.latency.p50_ns() as f64 / 1.0e6),
-            format!("{:.3}", response.latency.p95_ns() as f64 / 1.0e6),
-            format!("{:.3}", response.latency.p99_ns() as f64 / 1.0e6),
+            format!("{:.3}", response.latency.quantile(0.50) as f64 / 1.0e6),
+            format!("{:.3}", response.latency.quantile(0.95) as f64 / 1.0e6),
+            format!("{:.3}", response.latency.quantile(0.99) as f64 / 1.0e6),
             format!("{:.3}", response.wall_time_ns as f64 / 1.0e6),
         ]);
     }

@@ -4,7 +4,7 @@
 //! For every configured shard count the binary builds a `ShardedIndex` (BC-Tree per
 //! shard), measures the build time, serves a query batch through both the
 //! query-parallel path (`BatchExecutor` over the `P2hIndex` trait) and the
-//! shard-parallel path (`ShardedExecutor`), and verifies that both are **bit-identical**
+//! shard-parallel path (`BatchExecutor::execute_sharded`), and verifies that both are **bit-identical**
 //! to an unsharded reference. It then snapshots the sharded index as a `p2h-store`
 //! shard group, cold-loads it back, and verifies the reloaded answers again. With
 //! `--check` any mismatch (or store error) exits non-zero — this is the step CI runs
@@ -21,8 +21,8 @@ use std::time::Instant;
 use p2h_bench::serving::{bit_identical, clustered_dataset, serving_queries};
 use p2h_core::{kernels, HyperplaneQuery, LinearScan, PointSet, SearchParams};
 use p2h_engine::{
-    BatchExecutor, BatchRequest, Engine, Partitioner, ShardIndexKind, ShardedExecutor,
-    ShardedIndex, ShardedIndexBuilder,
+    BatchExecutor, BatchRequest, Engine, Partitioner, ShardIndexKind, ShardedIndex,
+    ShardedIndexBuilder,
 };
 use p2h_eval::{markdown_table, write_csv};
 use p2h_store::Store;
@@ -131,7 +131,7 @@ fn bench_shard_count(
     // Query-parallel serving: the sharded index behind the ordinary batch executor.
     let batch = BatchExecutor::new(threads).execute(&sharded, request);
     // Shard-parallel serving: fan each query across shards.
-    let fanout = ShardedExecutor::new(threads).execute(&sharded, request);
+    let fanout = BatchExecutor::new(threads).execute_sharded(&sharded, request).batch;
 
     // Snapshot as a shard group and cold-load it back.
     std::fs::remove_dir_all(store_dir).ok();
@@ -151,7 +151,7 @@ fn bench_shard_count(
         build_s,
         batch_qps: batch.throughput_qps(),
         fanout_qps: fanout.throughput_qps(),
-        fanout_p99_ms: fanout.latency.p99_ns() as f64 / 1e6,
+        fanout_p99_ms: fanout.latency.quantile(0.99) as f64 / 1e6,
         reload_s,
         identical: same,
     }

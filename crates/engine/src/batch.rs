@@ -1,6 +1,6 @@
-//! Batch request/response types and the latency histogram.
+//! Batch request/response types and the serving path a batch took.
 
-use p2h_core::{HyperplaneQuery, Scalar, SearchParams, SearchResult, SearchStats};
+use p2h_core::{HyperplaneQuery, SearchParams, SearchResult, SearchStats};
 use p2h_obs::StreamingHistogram;
 
 /// A batch of hyperplane queries with a shared default [`SearchParams`] and optional
@@ -52,6 +52,36 @@ impl BatchRequest {
     }
 }
 
+/// Which execution path served a batch.
+///
+/// Every path answers **bit-identically** for the same entry and request — the choice
+/// is purely a performance decision, so a front-end can count it
+/// (`p2h_front_dispatch_total{path=…}`) without callers ever observing a difference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServePath {
+    /// A live (mutable) index answered, through the batch executor's work loop on
+    /// the calling thread.
+    Live,
+    /// Each query fanned out across the shards of a sharded index, one (shard, query)
+    /// sub-search per task. Router-served batches (`Engine::serve_remote`) report this
+    /// path too: the router fans every query out across the remote shards.
+    ShardParallel,
+    /// Queries ran in parallel, each searched whole by one worker — a plain index, or
+    /// a sharded one the straggler policy judged better served across queries.
+    QueryParallel,
+}
+
+impl ServePath {
+    /// A stable label value for dispatch counters.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ServePath::Live => "live",
+            ServePath::ShardParallel => "shard_parallel",
+            ServePath::QueryParallel => "query_parallel",
+        }
+    }
+}
+
 /// The answer to a [`BatchRequest`].
 #[derive(Debug, Clone)]
 pub struct BatchResponse {
@@ -63,10 +93,15 @@ pub struct BatchResponse {
     pub latencies_ns: Vec<u64>,
     /// Component-wise sum of every query's [`SearchStats`].
     pub total_stats: SearchStats,
-    /// Distribution of per-query wall-clock latencies.
-    pub latency: LatencyHistogram,
+    /// Distribution of per-query wall-clock latencies over the workspace's shared
+    /// log-bucket layout (see [`p2h_obs::hist`]): quantiles report the bucket's upper
+    /// bound, so they overestimate the true sample by at most 2x; `latencies_ns` holds
+    /// the exact samples.
+    pub latency: StreamingHistogram,
     /// Wall-clock nanoseconds for the whole batch (including scheduling overhead).
     pub wall_time_ns: u64,
+    /// The execution path that served the batch.
+    pub path: ServePath,
 }
 
 impl BatchResponse {
@@ -79,99 +114,21 @@ impl BatchResponse {
     }
 }
 
-/// A latency distribution over the workspace's shared log-bucket layout (see
-/// [`p2h_obs::hist`]): constant-size, streaming (record as samples arrive, no sort, no
-/// clone of the latency vector), and mergeable — per-batch histograms accumulate into
-/// the process-wide [`p2h_obs`] registry without changing any reported quantile.
-///
-/// Quantiles use the nearest-rank method over the buckets and report the bucket's
-/// upper bound (exact max for the overflow bucket), so p50/p95/p99 overestimate the
-/// true sample by at most 2x — the standard log-bucket contract. The exact per-query
-/// samples remain available as `BatchResponse::latencies_ns` for callers that need
-/// per-query attribution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    hist: StreamingHistogram,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one per-query latency sample.
-    #[inline]
-    pub fn record(&mut self, latency_ns: u64) {
-        self.hist.record(latency_ns);
-    }
-
-    /// Adds every sample of `other` (bucket-wise; identical to having recorded them
-    /// here).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.hist.merge(&other.hist);
-    }
-
-    /// Builds a histogram from raw per-query latencies (any order).
-    pub fn from_latencies(latencies_ns: impl IntoIterator<Item = u64>) -> Self {
-        Self { hist: StreamingHistogram::from_samples(latencies_ns) }
-    }
-
-    /// The underlying bucketed histogram (e.g. to publish into a metrics registry via
-    /// [`p2h_obs::Histogram::merge_from`]).
-    pub fn histogram(&self) -> &StreamingHistogram {
-        &self.hist
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.hist.count() as usize
-    }
-
-    /// The `q`-quantile latency in nanoseconds (`q` in `[0, 1]`, nearest-rank method
-    /// over the log buckets), or 0 if no samples were recorded.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        self.hist.quantile(q)
-    }
-
-    /// Median latency (ns).
-    pub fn p50_ns(&self) -> u64 {
-        self.quantile_ns(0.50)
-    }
-
-    /// 95th-percentile latency (ns).
-    pub fn p95_ns(&self) -> u64 {
-        self.quantile_ns(0.95)
-    }
-
-    /// 99th-percentile latency (ns).
-    pub fn p99_ns(&self) -> u64 {
-        self.quantile_ns(0.99)
-    }
-
-    /// Maximum latency (ns, exact), or 0 with no samples.
-    pub fn max_ns(&self) -> u64 {
-        self.hist.max_value()
-    }
-
-    /// Mean latency (ns, exact — count and sum are tracked exactly), or 0 with no
-    /// samples.
-    pub fn mean_ns(&self) -> f64 {
-        self.hist.mean()
-    }
-
-    /// A compact one-line summary in milliseconds, for logs and benchmark output.
-    pub fn summary_ms(&self) -> String {
-        let to_ms = |ns: u64| ns as Scalar / 1.0e6;
-        format!(
-            "p50={:.3}ms p95={:.3}ms p99={:.3}ms max={:.3}ms (n={})",
-            to_ms(self.p50_ns()),
-            to_ms(self.p95_ns()),
-            to_ms(self.p99_ns()),
-            to_ms(self.max_ns()),
-            self.count()
-        )
-    }
+/// The answer to a batch fanned out across the shards of a sharded index
+/// (`Engine::serve_sharded`, [`crate::BatchExecutor::execute_sharded`]): the merged
+/// batch plus per-shard telemetry.
+#[derive(Debug, Clone)]
+pub struct ShardedBatchResponse {
+    /// The merged per-query results and batch telemetry — bit-identical answers to
+    /// the query-parallel path, regardless of thread count. Per-query latency is the
+    /// query's fan-out latency (the sum of its per-shard sub-search latencies).
+    pub batch: BatchResponse,
+    /// Per-shard latency distributions over the sub-searches the shard actually ran
+    /// (budget-skipped shards record nothing) — the shard-imbalance signal a serving
+    /// operator watches.
+    pub per_shard_latency: Vec<StreamingHistogram>,
+    /// Per-shard work counters, same indexing as `per_shard_latency`.
+    pub per_shard_stats: Vec<SearchStats>,
 }
 
 #[cfg(test)]
@@ -194,44 +151,5 @@ mod tests {
         // Last override wins.
         assert_eq!(request.params_for(1).candidate_limit, Some(200));
         assert_eq!(request.params_for(2).candidate_limit, None);
-    }
-
-    #[test]
-    fn histogram_quantiles_use_nearest_rank_bucket_bounds() {
-        let histogram = LatencyHistogram::from_latencies((1..=100).rev());
-        assert_eq!(histogram.count(), 100);
-        // Nearest-rank over the log buckets: the rank-50 sample (value 50) lives in
-        // the [32, 63] bucket, ranks 95/99 in [64, 127].
-        assert_eq!(histogram.p50_ns(), 63);
-        assert_eq!(histogram.p95_ns(), 127);
-        assert_eq!(histogram.p99_ns(), 127);
-        // Max and mean stay exact.
-        assert_eq!(histogram.max_ns(), 100);
-        assert_eq!(histogram.quantile_ns(0.0), 1);
-        assert!((histogram.mean_ns() - 50.5).abs() < 1e-9);
-        assert!(histogram.summary_ms().contains("n=100"));
-    }
-
-    #[test]
-    fn histogram_streams_and_merges_like_batch_construction() {
-        let mut streamed = LatencyHistogram::new();
-        for ns in 1..=100u64 {
-            streamed.record(ns);
-        }
-        assert_eq!(streamed, LatencyHistogram::from_latencies(1..=100));
-
-        let mut merged = LatencyHistogram::from_latencies(1..=50);
-        merged.merge(&LatencyHistogram::from_latencies(51..=100));
-        assert_eq!(merged, streamed);
-        assert_eq!(merged.histogram().count(), 100);
-    }
-
-    #[test]
-    fn empty_histogram_is_safe() {
-        let histogram = LatencyHistogram::default();
-        assert_eq!(histogram.count(), 0);
-        assert_eq!(histogram.p99_ns(), 0);
-        assert_eq!(histogram.max_ns(), 0);
-        assert_eq!(histogram.mean_ns(), 0.0);
     }
 }

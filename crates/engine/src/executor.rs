@@ -1,18 +1,22 @@
-//! The scoped-thread batch executor.
+//! The scoped-thread batch executor: one chunked work-stealing loop behind every
+//! serving path (plain, sharded fan-out, live).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use p2h_core::{P2hIndex, QueryScratch, SearchResult, SearchStats};
+use p2h_core::{P2hIndex, QueryScratch, Result, SearchResult, SearchStats};
+use p2h_live::LiveIndex;
+use p2h_obs::StreamingHistogram;
+use p2h_shard::{merge_topk, ShardedIndex};
 
-use crate::batch::{BatchRequest, BatchResponse, LatencyHistogram};
+use crate::batch::{BatchRequest, BatchResponse, ServePath, ShardedBatchResponse};
 
-/// Largest number of queries a worker claims per cursor bump.
+/// Largest number of tasks a worker claims per cursor bump.
 const MAX_CHUNK: usize = 32;
 
 /// Chunk size for dynamic work handout: large enough to amortize the shared-cursor
-/// traffic when per-query cost is tiny, small enough (at most [`MAX_CHUNK`], at most
-/// ~an eighth of each worker's fair share) that skewed per-query costs still balance.
+/// traffic when per-task cost is tiny, small enough (at most [`MAX_CHUNK`], at most
+/// ~an eighth of each worker's fair share) that skewed per-task costs still balance.
 fn chunk_size(n: usize, workers: usize) -> usize {
     (n / (workers * 8)).clamp(1, MAX_CHUNK)
 }
@@ -20,17 +24,19 @@ fn chunk_size(n: usize, workers: usize) -> usize {
 /// Executes query batches over worker threads with deterministic result ordering.
 ///
 /// Work distribution is dynamic: an atomic cursor hands out *chunks* of consecutive
-/// query indexes (see [`chunk_size`]) so that workers synchronize once per chunk rather
-/// than once per query, which matters when a single query costs only microseconds.
-/// Results are reassembled in request order and each query is answered independently, so
-/// the response's `results` are bit-identical to sequential execution no matter how many
-/// threads ran the batch or how the chunks interleaved — only the latency histogram and
+/// task indexes (see [`chunk_size`]) so that workers synchronize once per chunk rather
+/// than once per task, which matters when a single search costs only microseconds.
+/// A task is one query ([`BatchExecutor::execute`], live batches) or one (shard,
+/// query) sub-search ([`BatchExecutor::execute_sharded`]). Results are reassembled in
+/// request order and each task is answered independently, so the response's
+/// `results` are bit-identical to sequential execution no matter how many threads ran
+/// the batch or how the chunks interleaved — only the latency histogram and
 /// wall-clock time vary.
 ///
-/// Each worker owns one [`QueryScratch`] for its whole run and answers every query
-/// through [`P2hIndex::search_with_scratch`], so the steady-state per-query path
-/// performs no heap allocation beyond each query's k-element result vector (verified by
-/// the `allocations` integration test).
+/// Each worker owns one [`QueryScratch`] for its whole run and answers every task
+/// through a scratch-reusing search, so the steady-state per-query path performs no
+/// heap allocation beyond each query's k-element result vector (verified by the
+/// `allocations` integration test).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchExecutor {
     threads: usize,
@@ -59,108 +65,179 @@ impl BatchExecutor {
         self.threads
     }
 
-    /// Executes every query of `request` against `index`, in parallel.
+    /// Executes every query of `request` against `index`, in parallel across queries.
     ///
     /// The caller is responsible for dimension validation (see `Engine::serve`); passing
     /// a query whose dimension does not match the index panics, exactly as
     /// [`P2hIndex::search`] does.
     pub fn execute(&self, index: &dyn P2hIndex, request: &BatchRequest) -> BatchResponse {
-        let n = request.queries.len();
         let start = Instant::now();
-        let workers = self.threads.min(n).max(1);
+        let outcomes = run(self.threads, request.queries.len(), |i, scratch| {
+            index.search_with_scratch(&request.queries[i], request.params_for(i), scratch)
+        });
+        assemble(outcomes, ServePath::QueryParallel, start)
+    }
 
-        let mut slots: Vec<Option<(SearchResult, u64)>> = if workers <= 1 {
-            run_range(index, request, 0, n)
-        } else {
-            let chunk = chunk_size(n, workers);
-            let cursor = AtomicUsize::new(0);
-            let mut per_worker: Vec<Vec<(usize, SearchResult, u64)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            scope.spawn(|| {
-                                let mut scratch = QueryScratch::new();
-                                let mut local = Vec::with_capacity(n / workers + chunk);
-                                loop {
-                                    let begin = cursor.fetch_add(chunk, Ordering::Relaxed);
-                                    if begin >= n {
-                                        return local;
-                                    }
-                                    for i in begin..(begin + chunk).min(n) {
-                                        let query_start = Instant::now();
-                                        let result = index.search_with_scratch(
-                                            &request.queries[i],
-                                            request.params_for(i),
-                                            &mut scratch,
-                                        );
-                                        let latency_ns = query_start.elapsed().as_nanos() as u64;
-                                        local.push((i, result, latency_ns));
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("batch worker thread panicked"))
-                        .collect()
-                });
+    /// Fans every query of `request` across every shard of `index` — one (shard,
+    /// query) sub-search per task, so several workers cooperate on each query, which
+    /// cuts single-query latency when the batch is small relative to the worker count
+    /// — and merges the per-shard top-k lists with the total-order [`merge_topk`].
+    /// Merged results are bit-identical to [`BatchExecutor::execute`] on the same
+    /// index; the response adds per-shard latency and work statistics.
+    ///
+    /// The caller is responsible for dimension validation (see
+    /// `Engine::serve_sharded`); a mismatched query panics, as in
+    /// [`BatchExecutor::execute`].
+    pub fn execute_sharded(
+        &self,
+        index: &ShardedIndex,
+        request: &BatchRequest,
+    ) -> ShardedBatchResponse {
+        let start = Instant::now();
+        let n_queries = request.queries.len();
+        let n_shards = index.shard_count();
+        // Task `shard * n_queries + query`: the shard's globally-mapped top-k list
+        // (None when the budget split skipped the shard) for that query.
+        let mut sub_searches = run(self.threads, n_queries * n_shards, |task, scratch| {
+            let (shard, query) = (task / n_queries, task % n_queries);
+            index.search_shard(shard, &request.queries[query], request.params_for(query), scratch)
+        })
+        .into_iter();
 
-            let mut slots: Vec<Option<(SearchResult, u64)>> = (0..n).map(|_| None).collect();
-            for chunk in per_worker.drain(..) {
-                for (i, result, latency_ns) in chunk {
-                    slots[i] = Some((result, latency_ns));
+        // Reassemble: merge each query's shard lists, aggregate per-shard telemetry.
+        let mut per_shard_stats = vec![SearchStats::default(); n_shards];
+        let mut per_shard_latency = vec![StreamingHistogram::new(); n_shards];
+        let mut per_query: Vec<(Vec<_>, SearchStats, u64)> = (0..n_queries)
+            .map(|_| (Vec::with_capacity(n_shards), SearchStats::default(), 0))
+            .collect();
+        for shard in 0..n_shards {
+            for (lists, stats, latency_ns) in per_query.iter_mut() {
+                let (outcome, sub_latency) = sub_searches.next().expect("one outcome per task");
+                *latency_ns += sub_latency;
+                if let Some(sub) = outcome {
+                    stats.merge(&sub.stats);
+                    per_shard_stats[shard].merge(&sub.stats);
+                    per_shard_latency[shard].record(sub_latency);
+                    lists.push(sub.neighbors);
                 }
             }
-            slots
-        };
-
-        let mut results = Vec::with_capacity(n);
-        let mut latencies_ns = Vec::with_capacity(n);
-        let mut latency = LatencyHistogram::new();
-        let mut total_stats = SearchStats::default();
-        for slot in slots.iter_mut() {
-            let (result, latency_ns) = slot.take().expect("every query index was dispatched");
-            total_stats.merge(&result.stats);
-            latency.record(latency_ns);
-            latencies_ns.push(latency_ns);
-            results.push(result);
         }
-
-        BatchResponse {
-            results,
-            latency,
-            latencies_ns,
-            total_stats,
-            wall_time_ns: start.elapsed().as_nanos() as u64,
+        let outcomes = per_query
+            .into_iter()
+            .enumerate()
+            .map(|(query, (lists, mut stats, latency_ns))| {
+                let merge_start = Instant::now();
+                let neighbors = merge_topk(request.params_for(query).k, lists);
+                stats.time_merge_ns = merge_start.elapsed().as_nanos() as u64;
+                // Report the measured fan-out latency rather than the sum of the
+                // shards' self-reported totals (same quantity, one clock); the merge
+                // happens after the fan-out, so it adds on top.
+                stats.time_total_ns = latency_ns + stats.time_merge_ns;
+                (SearchResult { neighbors, stats }, latency_ns)
+            })
+            .collect();
+        ShardedBatchResponse {
+            batch: assemble(outcomes, ServePath::ShardParallel, start),
+            per_shard_latency,
+            per_shard_stats,
         }
+    }
+
+    /// Executes every query of `request` against a live index through the same work
+    /// loop, with one worker: the calling thread. Each search holds the live tier's
+    /// read lock for that query only, so mutations interleave between queries, never
+    /// inside one.
+    ///
+    /// Helper threads spawned per batch beside a live tier's compaction threads made
+    /// glibc malloc place successive compactions in different arenas, so the freed
+    /// memory of one compaction was not reused by the next: peak RSS of the
+    /// `active-learning` benchmark workload rose from 121 to 151 MB on a 2-CPU host.
+    /// Parallel live batches need long-lived worker threads instead.
+    pub(crate) fn execute_live(
+        &self,
+        index: &LiveIndex,
+        request: &BatchRequest,
+    ) -> Result<BatchResponse> {
+        let start = Instant::now();
+        let outcomes = run(1, request.queries.len(), |i, scratch| {
+            index.search_with_scratch(&request.queries[i], request.params_for(i), scratch)
+        })
+        .into_iter()
+        .map(|(result, latency_ns)| Ok((result?, latency_ns)))
+        .collect::<Result<Vec<_>>>()?;
+        Ok(assemble(outcomes, ServePath::Live, start))
     }
 }
 
-/// Sequential fallback used for one worker (avoids the scope/atomic overhead). One
-/// scratch serves the whole range, same as a parallel worker.
-fn run_range(
-    index: &dyn P2hIndex,
-    request: &BatchRequest,
-    from: usize,
-    to: usize,
-) -> Vec<Option<(SearchResult, u64)>> {
-    let mut scratch = QueryScratch::new();
-    (from..to)
-        .map(|i| {
-            let query_start = Instant::now();
-            let result =
-                index.search_with_scratch(&request.queries[i], request.params_for(i), &mut scratch);
-            let latency_ns = query_start.elapsed().as_nanos() as u64;
-            Some((result, latency_ns))
-        })
-        .collect()
+/// The work loop behind every execution shape: runs `task(i, scratch)` for every `i`
+/// in `0..tasks` on up to `workers` workers — the calling thread plus scoped helpers —
+/// each with its own scratch, and returns the outputs in task order, each with its
+/// wall-clock latency in nanoseconds.
+fn run<T: Send>(
+    workers: usize,
+    tasks: usize,
+    task: impl Fn(usize, &mut QueryScratch) -> T + Sync,
+) -> Vec<(T, u64)> {
+    let workers = workers.min(tasks).max(1);
+    let chunk = chunk_size(tasks, workers);
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut scratch = QueryScratch::new();
+        let mut local = Vec::with_capacity(tasks / workers + chunk);
+        loop {
+            let begin = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if begin >= tasks {
+                return local;
+            }
+            for i in begin..(begin + chunk).min(tasks) {
+                let task_start = Instant::now();
+                let output = task(i, &mut scratch);
+                local.push((i, (output, task_start.elapsed().as_nanos() as u64)));
+            }
+        }
+    };
+    let per_worker: Vec<Vec<(usize, (T, u64))>> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut per_worker = vec![work()];
+        per_worker
+            .extend(helpers.into_iter().map(|h| h.join().expect("batch worker thread panicked")));
+        per_worker
+    });
+
+    let mut slots: Vec<Option<(T, u64)>> = (0..tasks).map(|_| None).collect();
+    for (i, outcome) in per_worker.into_iter().flatten() {
+        slots[i] = Some(outcome);
+    }
+    slots.into_iter().map(|slot| slot.expect("every task was dispatched")).collect()
+}
+
+/// Builds the response for per-query `(result, latency)` outcomes in request order.
+fn assemble(outcomes: Vec<(SearchResult, u64)>, path: ServePath, start: Instant) -> BatchResponse {
+    let mut results = Vec::with_capacity(outcomes.len());
+    let mut latencies_ns = Vec::with_capacity(outcomes.len());
+    let mut latency = StreamingHistogram::new();
+    let mut total_stats = SearchStats::default();
+    for (result, latency_ns) in outcomes {
+        total_stats.merge(&result.stats);
+        latency.record(latency_ns);
+        latencies_ns.push(latency_ns);
+        results.push(result);
+    }
+    BatchResponse {
+        results,
+        latencies_ns,
+        total_stats,
+        latency,
+        wall_time_ns: start.elapsed().as_nanos() as u64,
+        path,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use p2h_core::{HyperplaneQuery, LinearScan, PointSet, Scalar, SearchParams};
+    use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndexBuilder};
 
     fn setup(n: usize) -> (LinearScan, Vec<HyperplaneQuery>) {
         let rows: Vec<Vec<Scalar>> = (0..n)
@@ -211,7 +288,7 @@ mod tests {
         let sequential = BatchExecutor::new(1).execute(&index, &request);
         let chunked = BatchExecutor::new(4).execute(&index, &request);
         assert_eq!(chunked.results.len(), n);
-        assert_eq!(chunked.latency.count(), n);
+        assert_eq!(chunked.latency.count(), n as u64);
         for (p, s) in chunked.results.iter().zip(sequential.results.iter()) {
             assert_eq!(p.neighbors, s.neighbors);
         }
@@ -238,7 +315,7 @@ mod tests {
         let request = BatchRequest::new(queries, SearchParams::exact(3));
         let response = BatchExecutor::new(4).execute(&index, &request);
         assert_eq!(response.results.len(), n_queries);
-        assert_eq!(response.latency.count(), n_queries);
+        assert_eq!(response.latency.count(), n_queries as u64);
         // Linear scan verifies every point for every query.
         assert_eq!(response.total_stats.candidates_verified, (300 * n_queries) as u64);
         assert!(response.wall_time_ns > 0);
@@ -248,16 +325,125 @@ mod tests {
     #[test]
     fn empty_batch_is_safe() {
         let (index, _) = setup(10);
+        let (sharded, _) = setup_sharded(100, 2);
         let request = BatchRequest::new(Vec::new(), SearchParams::exact(1));
-        let response = BatchExecutor::new(4).execute(&index, &request);
-        assert!(response.results.is_empty());
-        assert_eq!(response.latency.count(), 0);
-        assert_eq!(response.throughput_qps(), 0.0);
+        let executor = BatchExecutor::new(4);
+        for response in
+            [executor.execute(&index, &request), executor.execute_sharded(&sharded, &request).batch]
+        {
+            assert!(response.results.is_empty());
+            assert_eq!(response.latency.count(), 0);
+            assert_eq!(response.throughput_qps(), 0.0);
+        }
     }
 
     #[test]
     fn zero_threads_means_available_parallelism() {
         let executor = BatchExecutor::new(0);
         assert!(executor.threads() >= 1);
+    }
+
+    fn setup_sharded(n: usize, shards: usize) -> (ShardedIndex, Vec<HyperplaneQuery>) {
+        let rows: Vec<Vec<Scalar>> = (0..n)
+            .map(|i| vec![(i % 29) as Scalar * 0.9 - 12.0, (i % 13) as Scalar * 0.4])
+            .collect();
+        let points = PointSet::augment(&rows).unwrap();
+        let sharded = ShardedIndexBuilder::new(
+            Partitioner::Hash { shards },
+            ShardIndexKind::BallTree { leaf_size: 16 },
+        )
+        .build(&points)
+        .unwrap();
+        let queries = (0..20)
+            .map(|i| {
+                HyperplaneQuery::from_normal_and_bias(
+                    &[1.0, (i as Scalar * 0.43).cos()],
+                    -(i as Scalar * 0.7) + 2.0,
+                )
+                .unwrap()
+            })
+            .collect();
+        (sharded, queries)
+    }
+
+    #[test]
+    fn shard_parallel_results_match_the_trait_path_bit_for_bit() {
+        let (index, queries) = setup_sharded(700, 4);
+        let request = BatchRequest::new(queries, SearchParams::exact(6))
+            .with_override(2, SearchParams::approximate(6, 100))
+            .with_override(9, SearchParams::exact(1));
+        let mut scratch = QueryScratch::new();
+        let reference: Vec<SearchResult> = request
+            .queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| index.search_with_scratch(q, request.params_for(i), &mut scratch))
+            .collect();
+        for threads in [1, 2, 4, 8] {
+            let response = BatchExecutor::new(threads).execute_sharded(&index, &request);
+            assert_eq!(response.batch.results.len(), reference.len());
+            for (got, expected) in response.batch.results.iter().zip(&reference) {
+                assert_eq!(got.neighbors, expected.neighbors, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_shard_telemetry_covers_every_sub_search() {
+        let (index, queries) = setup_sharded(600, 3);
+        let n_queries = queries.len() as u64;
+        let request = BatchRequest::new(queries, SearchParams::exact(4));
+        let response = BatchExecutor::new(2).execute_sharded(&index, &request);
+        assert_eq!(response.per_shard_latency.len(), 3);
+        assert_eq!(response.per_shard_stats.len(), 3);
+        for shard in 0..3 {
+            // Exact search skips no shard: every query touched every shard.
+            assert_eq!(response.per_shard_latency[shard].count(), n_queries);
+            assert!(response.per_shard_stats[shard].candidates_verified > 0);
+        }
+        let batch = &response.batch;
+        assert_eq!(batch.latency.count(), n_queries);
+        assert!(batch.throughput_qps() > 0.0);
+        // The shard stats partition the total work.
+        let shard_sum: u64 = response.per_shard_stats.iter().map(|s| s.candidates_verified).sum();
+        assert_eq!(shard_sum, batch.total_stats.candidates_verified);
+        // Merge time is measured per query (not by the shards) and aggregates.
+        let merge_sum: u64 = batch.results.iter().map(|r| r.stats.time_merge_ns).sum();
+        assert_eq!(batch.total_stats.time_merge_ns, merge_sum);
+        for (result, &latency_ns) in batch.results.iter().zip(&batch.latencies_ns) {
+            assert_eq!(result.stats.time_total_ns, latency_ns + result.stats.time_merge_ns);
+        }
+    }
+
+    #[test]
+    fn budget_skipped_shards_record_no_latency_samples() {
+        let (index, queries) = setup_sharded(500, 4);
+        let n_queries = queries.len() as u64;
+        // A budget of 1 reaches only the shard holding global id 0.
+        let request = BatchRequest::new(queries, SearchParams::approximate(1, 1));
+        let response = BatchExecutor::new(2).execute_sharded(&index, &request);
+        let sampled: u64 = response.per_shard_latency.iter().map(|h| h.count()).sum();
+        assert_eq!(sampled, n_queries, "only one shard may run per query");
+        assert_eq!(response.batch.total_stats.candidates_verified, n_queries);
+    }
+
+    #[test]
+    fn live_execution_returns_search_errors_instead_of_panicking() {
+        let dir =
+            std::env::temp_dir().join(format!("p2h-engine-executor-live-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = p2h_store::Store::create(&dir).unwrap();
+        let live = LiveIndex::create(&store, "live", 3).unwrap();
+        let rows: Vec<Vec<Scalar>> = (0..50).map(|i| vec![i as Scalar * 0.1, 1.0]).collect();
+        live.insert_batch(&rows).unwrap();
+        let (_, mut queries) = setup(10);
+        // One query of the wrong dimension, mid-batch: a typed error, not a worker panic.
+        queries[7] = HyperplaneQuery::from_normal_and_bias(&[1.0, 0.0, 0.0], 0.0).unwrap();
+        let request = BatchRequest::new(queries, SearchParams::exact(3));
+        assert!(matches!(
+            BatchExecutor::new(2).execute_live(&live, &request),
+            Err(p2h_core::Error::DimensionMismatch { expected: 3, actual: 4 })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

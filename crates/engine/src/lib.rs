@@ -5,18 +5,23 @@
 //! The index crates answer one query on one core. This crate adds the serving-side
 //! machinery needed to drive them at hardware speed:
 //!
-//! * [`IndexRegistry`] — a concurrent, name-keyed registry of [`SharedIndex`]es
-//!   (`Arc<dyn P2hIndex>`), so many threads can serve queries against the same
-//!   immutable index without copying it;
+//! * [`IndexRegistry`] — a concurrent, name-keyed registry of [`Entry`]s — plain
+//!   [`SharedIndex`]es (`Arc<dyn P2hIndex>`), sharded indexes, and mutable live
+//!   indexes — in one map behind one lock, so many threads can serve queries against
+//!   the same index without copying it;
 //! * [`BatchRequest`] / [`BatchResponse`] — a batch API with a default
 //!   [`SearchParams`] plus optional per-query overrides, returning per-query results
-//!   in request order together with aggregated [`SearchStats`] and a
-//!   [`LatencyHistogram`] (p50/p95/p99);
-//! * [`BatchExecutor`] — a scoped-thread work-stealing executor whose results are
-//!   **bit-identical** to sequential execution regardless of thread count (queries are
+//!   in request order together with aggregated [`SearchStats`], a
+//!   [`StreamingHistogram`] of per-query latencies (p50/p95/p99), and the
+//!   [`ServePath`] the batch took;
+//! * [`BatchExecutor`] — one scoped-thread work-stealing loop for every execution
+//!   shape (query-parallel, (shard, query) fan-out, live), whose results are
+//!   **bit-identical** to sequential execution regardless of thread count (tasks are
 //!   independent and results are reassembled in request order);
-//! * [`Engine`] — the registry and an executor behind one façade: look an index up by
-//!   name, validate the request, execute the batch.
+//! * [`Engine`] — the registry and the executor behind one façade: `serve` looks an
+//!   entry of any kind up by name, validates the request, picks the execution path,
+//!   executes the batch, and records metrics and traces. `serve_sharded` forces the
+//!   fan-out path for per-shard telemetry, `serve_remote` serves through a router.
 //!
 //! Index *construction* is parallelized in the index crates themselves: see
 //! `BallTreeBuilder::build_parallel` and `BcTreeBuilder::build_parallel` (behind the
@@ -56,14 +61,12 @@ mod metrics;
 mod registry;
 mod remote;
 mod serve;
-mod sharded;
 
-pub use batch::{BatchRequest, BatchResponse, LatencyHistogram};
+pub use batch::{BatchRequest, BatchResponse, ServePath, ShardedBatchResponse};
 pub use executor::BatchExecutor;
-pub use registry::{IndexRegistry, SharedIndex};
+pub use registry::{Entry, IndexRegistry, SharedIndex};
 pub use remote::RemoteBatchResponse;
-pub use serve::{Engine, FrontPath};
-pub use sharded::{ShardedBatchResponse, ShardedExecutor};
+pub use serve::Engine;
 
 // Re-exported so engine users can build indexes in parallel without naming the tree
 // crates and their `parallel` feature explicitly.
@@ -75,7 +78,7 @@ pub use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndex, ShardedIndexBuild
 // Re-exported so cold-start users (`Engine::from_store`) can create and populate the
 // snapshot store without adding `p2h-store` as a direct dependency.
 pub use p2h_store::{LoadMode, Snapshot, Store, StoreError};
-// Re-exported so online-update users (`Engine::serve_live`, `register_live`,
+// Re-exported so online-update users (`Engine::serve`, `register_live`,
 // background compaction policies) need no direct `p2h-live` dependency at call sites.
 pub use p2h_live::{
     CompactionPolicy, CompactionReport, CompactionTrigger, Compactor, LiveError, LiveIndex,
@@ -88,5 +91,5 @@ pub use p2h_net::{
 };
 // Re-exported so serving operators can reach the process-wide metrics registry
 // (`Engine::render_metrics` / `metrics_snapshot` cover the common cases) and the
-// streaming histogram type behind `LatencyHistogram`.
+// streaming histogram type of `BatchResponse::latency`.
 pub use p2h_obs::{MetricsRegistry, MetricsSnapshot, StreamingHistogram};

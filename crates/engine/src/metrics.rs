@@ -12,11 +12,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use p2h_core::SearchStats;
 use p2h_obs::{global, Counter, Histogram, StreamingHistogram};
 
-use crate::batch::BatchResponse;
-use crate::sharded::ShardedBatchResponse;
+use crate::batch::{BatchResponse, ShardedBatchResponse};
 
 /// `SearchStats::to_metrics()` names, paired with the Prometheus family each one
 /// feeds. Order matches `to_metrics()` (asserted in debug builds on every record).
@@ -122,13 +120,13 @@ impl IndexInstruments {
 
     /// Publishes one batch response: aggregate counters plus per-query distributions
     /// accumulated locally and merged in a single pass each.
-    fn record_batch(&self, response: &BatchResponse, wall_time_ns: u64) {
+    fn record_batch(&self, response: &BatchResponse) {
         let n = response.results.len();
         self.queries.add(n as u64);
         self.batches.inc();
-        self.batch_wall_ns.add(wall_time_ns);
+        self.batch_wall_ns.add(response.wall_time_ns);
         self.batch_size.record(n as u64);
-        self.latency.merge_from(response.latency.histogram());
+        self.latency.merge_from(&response.latency);
 
         let mut candidates = StreamingHistogram::new();
         let mut nodes = StreamingHistogram::new();
@@ -142,11 +140,9 @@ impl IndexInstruments {
         self.nodes_visited.merge_from(&nodes);
         self.pruned_subtrees.merge_from(&pruned);
 
-        self.record_stat_counters(&response.total_stats);
-    }
-
-    fn record_stat_counters(&self, total: &SearchStats) {
-        for ((name, value), counter) in total.to_metrics().iter().zip(&self.stat_counters) {
+        for ((name, value), counter) in
+            response.total_stats.to_metrics().iter().zip(&self.stat_counters)
+        {
             debug_assert!(
                 SEARCH_COUNTER_FAMILIES.iter().any(|&(n, ..)| n == *name),
                 "SearchStats::to_metrics() field `{name}` has no metric family"
@@ -155,37 +151,17 @@ impl IndexInstruments {
         }
     }
 
-    /// Publishes one sharded response: everything `record_batch` publishes, plus the
-    /// per-shard latency distributions and work counters.
-    fn record_sharded(&self, index: &str, response: &ShardedBatchResponse) {
-        let n = response.results.len();
-        self.queries.add(n as u64);
-        self.batches.inc();
-        self.batch_wall_ns.add(response.wall_time_ns);
-        self.batch_size.record(n as u64);
-        self.latency.merge_from(response.latency.histogram());
-
-        let mut candidates = StreamingHistogram::new();
-        let mut nodes = StreamingHistogram::new();
-        let mut pruned = StreamingHistogram::new();
-        for result in &response.results {
-            candidates.record(result.stats.candidates_verified);
-            nodes.record(result.stats.nodes_visited);
-            pruned.record(result.stats.pruned_subtrees);
-        }
-        self.candidates_verified.merge_from(&candidates);
-        self.nodes_visited.merge_from(&nodes);
-        self.pruned_subtrees.merge_from(&pruned);
-        self.record_stat_counters(&response.total_stats);
-
+    /// Publishes the per-shard latency distributions and work counters of a
+    /// fanned-out batch.
+    fn record_shards(&self, index: &str, response: &ShardedBatchResponse) {
         self.ensure_shards(index, response.per_shard_latency.len());
         let shards = self.shards.read().expect("shard instruments poisoned");
         for (shard, (latency, stats)) in
             response.per_shard_latency.iter().zip(&response.per_shard_stats).enumerate()
         {
             let instruments = &shards[shard];
-            instruments.latency.merge_from(latency.histogram());
-            instruments.sub_searches.add(latency.count() as u64);
+            instruments.latency.merge_from(latency);
+            instruments.sub_searches.add(latency.count());
             instruments.candidates_verified.add(stats.candidates_verified);
         }
     }
@@ -270,14 +246,18 @@ impl EngineMetrics {
         )
     }
 
-    /// Records a batch served through the query-parallel path.
-    pub(crate) fn record_batch(&self, index: &str, response: &BatchResponse) {
-        self.instruments(index).record_batch(response, response.wall_time_ns);
+    /// Records a served batch, plus its per-shard telemetry when it was fanned out.
+    pub(crate) fn record(&self, index: &str, response: &ShardedBatchResponse) {
+        let instruments = self.instruments(index);
+        instruments.record_batch(&response.batch);
+        if !response.per_shard_latency.is_empty() {
+            instruments.record_shards(index, response);
+        }
     }
 
-    /// Records a batch served through the sharded fan-out path.
-    pub(crate) fn record_sharded(&self, index: &str, response: &ShardedBatchResponse) {
-        self.instruments(index).record_sharded(index, response);
+    /// Records a batch that carries no per-shard telemetry.
+    pub(crate) fn record_batch(&self, index: &str, response: &BatchResponse) {
+        self.instruments(index).record_batch(response);
     }
 
     /// Observed `p2h_shard_latency_ns` p99 per shard of `index`, or `None` before the
@@ -295,7 +275,7 @@ impl EngineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchRequest, LatencyHistogram};
+    use crate::batch::BatchRequest;
     use crate::executor::BatchExecutor;
     use p2h_core::{HyperplaneQuery, LinearScan, PointSet, Scalar, SearchParams};
 
@@ -330,13 +310,13 @@ mod tests {
         );
         // The per-query distribution agrees with the response's own histogram.
         let expected = {
-            let mut h = LatencyHistogram::new();
+            let mut h = StreamingHistogram::new();
             for &ns in &response.latencies_ns {
                 h.record(ns);
                 h.record(ns);
             }
             h
         };
-        assert_eq!(latency, expected.histogram());
+        assert_eq!(latency, &expected);
     }
 }

@@ -15,35 +15,56 @@ use p2h_store::{LoadMode, Store, StoreEntry, StoreError};
 /// threads or cloned into long-lived serving tasks for free.
 pub type SharedIndex = Arc<dyn P2hIndex>;
 
-/// A thread-safe registry mapping names to [`SharedIndex`]es.
+/// One registered index, of whichever kind the name holds.
 ///
-/// Registration replaces any previous index under the same name (last write wins) and
+/// Lookups clone the `Arc`s inside, never the index, so an `Entry` taken out of the
+/// registry keeps serving after the name is re-registered or removed.
+#[derive(Clone)]
+pub enum Entry {
+    /// An immutable index behind the [`P2hIndex`] trait.
+    Plain(SharedIndex),
+    /// A sharded index, kept as its concrete type so serving can fan queries out
+    /// across shards and report per-shard telemetry.
+    Sharded(Arc<ShardedIndex>),
+    /// A mutable live-tier index (inserts, deletes, compaction). [`LiveIndex`] is not
+    /// a [`P2hIndex`]: its searches return `Result`, so serving surfaces dimension
+    /// errors instead of panicking.
+    Live(Arc<LiveIndex>),
+}
+
+impl Entry {
+    /// The augmented dimension queries against this entry must have.
+    pub(crate) fn dim(&self) -> usize {
+        match self {
+            Entry::Plain(index) => index.dim(),
+            Entry::Sharded(index) => index.dim(),
+            Entry::Live(index) => index.dim(),
+        }
+    }
+}
+
+/// A thread-safe registry mapping names to [`Entry`]s — plain, sharded or live
+/// indexes in one name space, behind one lock.
+///
+/// Registration replaces any previous entry under the same name (last write wins) and
 /// returns the shared handle, so callers can keep searching an index they registered
 /// without going through the registry again. Lookups clone the `Arc`, never the index.
-///
-/// Sharded indexes registered through [`IndexRegistry::register_sharded`] are
-/// additionally retrievable as their concrete type via
-/// [`IndexRegistry::get_sharded`], which is what `Engine::serve_sharded` uses to
-/// expose per-shard latency statistics; through [`IndexRegistry::get`] they serve
-/// like any other index.
-/// Live (mutable) indexes registered through [`IndexRegistry::register_live`] live in
-/// their own map — [`LiveIndex`] is not a [`P2hIndex`] (its searches return `Result`
-/// so serving paths can surface dimension errors instead of panicking) — but share
-/// the name space: a name holds a plain, sharded, *or* live index, never several.
+/// Sharded indexes answer [`IndexRegistry::get`] like any other immutable index and
+/// [`IndexRegistry::get_sharded`] as their concrete type; live indexes answer only
+/// [`IndexRegistry::get_live`].
 #[derive(Default)]
 pub struct IndexRegistry {
-    inner: RwLock<HashMap<String, SharedIndex>>,
-    /// Concrete handles for sharded indexes, kept alongside the trait-object map so
-    /// shard-aware serving paths can reach shard-level APIs without downcasting.
-    sharded: RwLock<HashMap<String, Arc<ShardedIndex>>>,
-    /// Mutable live-tier indexes (`Engine::serve_live`, inserts/deletes/compaction).
-    live: RwLock<HashMap<String, Arc<LiveIndex>>>,
+    entries: RwLock<HashMap<String, Entry>>,
 }
 
 impl IndexRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn insert(&self, name: impl Into<String>, entry: Entry) {
+        self.entries.write().expect("index registry lock poisoned").insert(name.into(), entry);
     }
 
     /// Registers an index under `name`, replacing any previous entry, and returns the
@@ -54,15 +75,7 @@ impl IndexRegistry {
 
     /// Registers an already-shared index under `name`, replacing any previous entry.
     pub fn register_shared(&self, name: impl Into<String>, index: SharedIndex) -> SharedIndex {
-        let name = name.into();
-        // A plain registration under a name that held a sharded or live index drops
-        // those handles too — the maps must never disagree about a name.
-        let mut sharded = self.sharded.write().expect("index registry lock poisoned");
-        sharded.remove(&name);
-        let mut live = self.live.write().expect("index registry lock poisoned");
-        live.remove(&name);
-        let mut map = self.inner.write().expect("index registry lock poisoned");
-        map.insert(name, Arc::clone(&index));
+        self.insert(name, Entry::Plain(Arc::clone(&index)));
         index
     }
 
@@ -75,40 +88,20 @@ impl IndexRegistry {
         name: impl Into<String>,
         index: ShardedIndex,
     ) -> Arc<ShardedIndex> {
-        let name = name.into();
         let handle = Arc::new(index);
-        let mut sharded = self.sharded.write().expect("index registry lock poisoned");
-        let mut live = self.live.write().expect("index registry lock poisoned");
-        let mut map = self.inner.write().expect("index registry lock poisoned");
-        live.remove(&name);
-        sharded.insert(name.clone(), Arc::clone(&handle));
-        map.insert(name, Arc::clone(&handle) as SharedIndex);
+        self.insert(name, Entry::Sharded(Arc::clone(&handle)));
         handle
     }
 
     /// Registers a live (mutable) index under `name`, replacing any previous entry of
     /// any kind, and returns the shared handle. Live indexes serve through
-    /// `Engine::serve_live` and are retrievable via [`IndexRegistry::get_live`]; they
-    /// do not answer the trait-object [`IndexRegistry::get`] lookup because
+    /// `Engine::serve` and are retrievable via [`IndexRegistry::get_live`]; they do
+    /// not answer the trait-object [`IndexRegistry::get`] lookup because
     /// [`LiveIndex`] searches return `Result` rather than implementing [`P2hIndex`].
     pub fn register_live(&self, name: impl Into<String>, index: LiveIndex) -> Arc<LiveIndex> {
-        self.register_live_shared(name, Arc::new(index))
-    }
-
-    /// [`IndexRegistry::register_live`] for an already-shared handle.
-    pub fn register_live_shared(
-        &self,
-        name: impl Into<String>,
-        index: Arc<LiveIndex>,
-    ) -> Arc<LiveIndex> {
-        let name = name.into();
-        let mut sharded = self.sharded.write().expect("index registry lock poisoned");
-        let mut live = self.live.write().expect("index registry lock poisoned");
-        let mut map = self.inner.write().expect("index registry lock poisoned");
-        sharded.remove(&name);
-        map.remove(&name);
-        live.insert(name, Arc::clone(&index));
-        index
+        let handle = Arc::new(index);
+        self.insert(name, Entry::Live(Arc::clone(&handle)));
+        handle
     }
 
     /// Opens a `p2h-store` snapshot directory and registers every manifest entry under
@@ -178,53 +171,57 @@ impl IndexRegistry {
         Ok(registry)
     }
 
-    /// Looks an index up by name.
+    /// The entry registered under `name`, of whichever kind.
+    pub fn entry(&self, name: &str) -> Option<Entry> {
+        self.entries.read().expect("index registry lock poisoned").get(name).cloned()
+    }
+
+    /// Looks an immutable (plain or sharded) index up by name. `None` when the name is
+    /// unregistered or holds a live index.
     pub fn get(&self, name: &str) -> Option<SharedIndex> {
-        let map = self.inner.read().expect("index registry lock poisoned");
-        map.get(name).cloned()
+        match self.entry(name)? {
+            Entry::Plain(index) => Some(index),
+            Entry::Sharded(index) => Some(index),
+            Entry::Live(_) => None,
+        }
     }
 
     /// Looks a sharded index up by name as its concrete type. `None` when the name is
     /// unregistered or holds a non-sharded index.
     pub fn get_sharded(&self, name: &str) -> Option<Arc<ShardedIndex>> {
-        let map = self.sharded.read().expect("index registry lock poisoned");
-        map.get(name).cloned()
+        match self.entry(name)? {
+            Entry::Sharded(index) => Some(index),
+            _ => None,
+        }
     }
 
     /// Looks a live index up by name. `None` when the name is unregistered or holds
     /// an immutable index.
     pub fn get_live(&self, name: &str) -> Option<Arc<LiveIndex>> {
-        let map = self.live.read().expect("index registry lock poisoned");
-        map.get(name).cloned()
+        match self.entry(name)? {
+            Entry::Live(index) => Some(index),
+            _ => None,
+        }
     }
 
-    /// Removes an index of any kind, returning its trait-object handle if the name
-    /// held an immutable index (live indexes are removed but have no such handle).
-    /// In-flight searches holding an `Arc` are unaffected; the index is freed when
-    /// the last handle drops.
-    pub fn remove(&self, name: &str) -> Option<SharedIndex> {
-        let mut sharded = self.sharded.write().expect("index registry lock poisoned");
-        sharded.remove(name);
-        let mut live = self.live.write().expect("index registry lock poisoned");
-        live.remove(name);
-        let mut map = self.inner.write().expect("index registry lock poisoned");
-        map.remove(name)
+    /// Removes the entry under `name`, of any kind, and returns it. In-flight
+    /// searches holding an `Arc` are unaffected; the index is freed when the last
+    /// handle drops.
+    pub fn remove(&self, name: &str) -> Option<Entry> {
+        self.entries.write().expect("index registry lock poisoned").remove(name)
     }
 
-    /// The registered names (immutable and live), sorted for deterministic output.
+    /// The registered names, sorted for deterministic output.
     pub fn names(&self) -> Vec<String> {
-        let map = self.inner.read().expect("index registry lock poisoned");
-        let live = self.live.read().expect("index registry lock poisoned");
-        let mut names: Vec<String> = map.keys().chain(live.keys()).cloned().collect();
+        let mut names: Vec<String> =
+            self.entries.read().expect("index registry lock poisoned").keys().cloned().collect();
         names.sort_unstable();
         names
     }
 
-    /// Number of registered indexes (immutable and live).
+    /// Number of registered indexes, of every kind.
     pub fn len(&self) -> usize {
-        let inner = self.inner.read().expect("index registry lock poisoned").len();
-        let live = self.live.read().expect("index registry lock poisoned").len();
-        inner + live
+        self.entries.read().expect("index registry lock poisoned").len()
     }
 
     /// Whether the registry is empty.
@@ -297,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_registration_is_visible_through_both_maps() {
+    fn sharded_registration_is_visible_generically_and_concretely() {
         let registry = IndexRegistry::new();
         let handle = registry.register_sharded("sh", tiny_sharded());
         assert_eq!(handle.shard_count(), 2);
@@ -313,9 +310,34 @@ mod tests {
         registry.register("sh", tiny_scan(2.0));
         assert!(registry.get_sharded("sh").is_none());
         assert!(registry.get("sh").is_some());
-        // Removal clears both maps.
+        // Removal returns the entry and clears the name for every lookup.
         registry.register_sharded("sh2", tiny_sharded());
-        assert!(registry.remove("sh2").is_some());
+        assert!(matches!(registry.remove("sh2"), Some(Entry::Sharded(_))));
         assert!(registry.get_sharded("sh2").is_none());
+        assert!(registry.get("sh2").is_none());
+    }
+
+    #[test]
+    fn a_name_holds_one_entry_kind_at_a_time() {
+        let dir =
+            std::env::temp_dir().join(format!("p2h-engine-registry-kinds-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = Store::create(&dir).unwrap();
+        let registry = IndexRegistry::new();
+        registry.register("x", tiny_scan(1.0));
+        registry.register_live("x", LiveIndex::create(&store, "x", 3).unwrap());
+        // The live registration replaced the plain one under the same name.
+        assert_eq!(registry.len(), 1);
+        assert!(matches!(registry.entry("x"), Some(Entry::Live(_))));
+        assert!(registry.get("x").is_none());
+        assert!(registry.get_sharded("x").is_none());
+        assert!(registry.get_live("x").is_some());
+        assert_eq!(registry.entry("x").unwrap().dim(), 3);
+        // And a sharded registration replaces the live one.
+        registry.register_sharded("x", tiny_sharded());
+        assert!(registry.get_live("x").is_none());
+        assert!(registry.get("x").is_some());
+        assert_eq!(registry.names(), vec!["x".to_string()]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,16 +15,18 @@ use std::time::Instant;
 use p2h_core::SearchParams;
 use p2h_net::{NetError, NetResult, Router};
 
-use crate::batch::{BatchRequest, BatchResponse, LatencyHistogram};
+use p2h_obs::StreamingHistogram;
+
+use crate::batch::{BatchRequest, BatchResponse, ServePath};
 use crate::serve::{plan_trace, write_traces, Engine};
 
 /// A batch served through a [`Router`], plus the explicit degraded-mode record.
 #[derive(Debug, Clone)]
 pub struct RemoteBatchResponse {
     /// The merged per-query results and batch telemetry, shaped exactly like a
-    /// locally served batch. Per-query latency is the batch's network wall time
-    /// (the fan-out answers a batch as a unit, so per-query attribution does not
-    /// exist on this path).
+    /// locally served batch, with path [`ServePath::ShardParallel`]. Per-query
+    /// latency is the batch's network wall time (the fan-out answers a batch as a
+    /// unit, so per-query attribution does not exist on this path).
     pub batch: BatchResponse,
     /// Shards that did not contribute. Non-empty only when the router was built
     /// with `allow_partial` — degradation is opt-in and always explicit.
@@ -71,7 +73,7 @@ impl Engine {
         let routed = router.route(&effective.queries, &params)?;
 
         let wall_time_ns = start.elapsed().as_nanos() as u64;
-        let mut latency = LatencyHistogram::new();
+        let mut latency = StreamingHistogram::new();
         let mut total_stats = p2h_core::SearchStats::default();
         let latencies_ns: Vec<u64> = routed
             .results
@@ -88,6 +90,7 @@ impl Engine {
             total_stats,
             latency,
             wall_time_ns,
+            path: ServePath::ShardParallel,
         };
         self.metrics.record_batch(label, &batch);
         if let Some(plan) = &trace {

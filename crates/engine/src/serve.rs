@@ -1,47 +1,15 @@
 //! The `Engine` façade: registry + executor + request validation + observability.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use p2h_core::{Error, P2hIndex, QueryScratch, Result, Scalar, SearchResult, SearchStats};
+use p2h_core::{Error, Result, Scalar, SearchResult};
 use p2h_live::{LiveError, LiveIndex};
 use p2h_obs::trace::{from_env, QueryTrace, TraceSink};
 
-use crate::batch::LatencyHistogram;
-
-use crate::batch::{BatchRequest, BatchResponse};
+use crate::batch::{BatchRequest, BatchResponse, ServePath, ShardedBatchResponse};
 use crate::executor::BatchExecutor;
 use crate::metrics::EngineMetrics;
-use crate::registry::{IndexRegistry, SharedIndex};
-use crate::sharded::{ShardedBatchResponse, ShardedExecutor};
-
-/// Which execution path [`Engine::serve_front`] dispatched a batch to.
-///
-/// Every path returns answers **bit-identical** to [`Engine::serve`] /
-/// [`Engine::serve_live`] on the same name — the choice is purely a performance
-/// decision, so a front-end can log it (`p2h_front_dispatch_total{path=…}`) without
-/// callers ever observing a difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontPath {
-    /// The live (mutable) tier answered.
-    Live,
-    /// A sharded index answered through the shard-parallel [`ShardedExecutor`].
-    ShardParallel,
-    /// The query-parallel [`BatchExecutor`] answered — a plain index, or a sharded
-    /// one the routing heuristic judged better served across queries.
-    QueryParallel,
-}
-
-impl FrontPath {
-    /// A stable label value for dispatch counters.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FrontPath::Live => "live",
-            FrontPath::ShardParallel => "shard_parallel",
-            FrontPath::QueryParallel => "query_parallel",
-        }
-    }
-}
+use crate::registry::{Entry, IndexRegistry};
 
 /// Minimum recorded sub-searches per shard before the dispatch heuristic trusts the
 /// observed `p2h_shard_latency_ns` distributions over its static default.
@@ -140,71 +108,35 @@ impl Engine {
         p2h_obs::global().render_text()
     }
 
-    /// Serves a batch against the index registered under `index_name`.
+    /// Serves a batch against the entry registered under `index_name`, of any kind,
+    /// and reports the path taken as [`BatchResponse::path`]:
+    ///
+    /// * plain indexes run query-parallel on the batch executor;
+    /// * sharded indexes fan small batches (fewer than `2 × shards` queries) out
+    ///   across shards, which cuts tail latency when workers would otherwise idle —
+    ///   *unless* the observed per-shard p99s (`p2h_shard_latency_ns`) say one shard
+    ///   is a ≥4× straggler, in which case fan-out would gate every query on it and
+    ///   query-parallel wins. Large batches always go query-parallel (every worker
+    ///   stays busy without fan-out/merge overhead);
+    /// * live indexes run through the same executor loop, on the calling thread.
+    ///
+    /// Answers are **bit-identical** whichever path is taken.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] if no index is registered under `index_name`
-    /// and [`Error::DimensionMismatch`] if any query's dimension differs from the
-    /// index's augmented dimension (checked up front, so a bad query cannot panic a
-    /// worker thread mid-batch).
+    /// Returns [`Error::InvalidParameter`] if no index is registered under
+    /// `index_name` or an override targets a position outside the batch (a silent
+    /// no-op otherwise — almost certainly an off-by-one at the call site), and
+    /// [`Error::DimensionMismatch`] if any query's dimension differs from the index's
+    /// augmented dimension (checked up front, so a bad query cannot panic a worker
+    /// thread mid-batch).
     pub fn serve(&self, index_name: &str, request: &BatchRequest) -> Result<BatchResponse> {
-        let index = self.registry.get(index_name).ok_or_else(|| Error::InvalidParameter {
-            name: "index_name",
-            message: format!("no index registered under `{index_name}`"),
-        })?;
-        self.serve_named(index.as_ref(), index_name, request, "batch")
+        let entry =
+            self.registry.entry(index_name).ok_or_else(|| not_registered("", index_name))?;
+        Ok(self.serve_entry(index_name, &entry, request, false)?.batch)
     }
 
-    /// Serves a batch against whatever kind of index is registered under
-    /// `index_name` — the front-end dispatch path: live indexes serve through the
-    /// live tier, sharded indexes through whichever executor shape the routing
-    /// heuristic predicts is faster, and plain indexes through the batch executor.
-    /// Returns the response together with the [`FrontPath`] actually taken.
-    ///
-    /// The answers are **bit-identical** to [`Engine::serve`] (or
-    /// [`Engine::serve_live`] for live names) on the same request regardless of the
-    /// path chosen; sampled traces are tagged `path="front"`.
-    ///
-    /// Routing for sharded names: small batches (fewer than `2 × shards` queries)
-    /// fan each query across shards, which cuts tail latency when workers would
-    /// otherwise idle — *unless* the observed per-shard p99s
-    /// (`p2h_shard_latency_ns`) say one shard is a ≥4× straggler, in which case
-    /// fan-out would gate every query on it and query-parallel wins. Large batches
-    /// always go query-parallel (every worker stays busy without fan-out/merge
-    /// overhead).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] if no index of any kind is registered
-    /// under `index_name`, plus the same validation errors as [`Engine::serve`].
-    pub fn serve_front(
-        &self,
-        index_name: &str,
-        request: &BatchRequest,
-    ) -> Result<(BatchResponse, FrontPath)> {
-        if let Some(live) = self.registry.get_live(index_name) {
-            let response = self.serve_live_on(&live, index_name, request, "front")?;
-            return Ok((response, FrontPath::Live));
-        }
-        if let Some(sharded) = self.registry.get_sharded(index_name) {
-            if self.prefer_shard_parallel(index_name, sharded.shard_count(), request.queries.len())
-            {
-                let response = self.serve_sharded_on(&sharded, index_name, request, "front")?;
-                return Ok((flatten_sharded(response), FrontPath::ShardParallel));
-            }
-            // Fall through: the trait-object map holds the same index, so the
-            // query-parallel executor serves it bit-identically.
-        }
-        let index = self.registry.get(index_name).ok_or_else(|| Error::InvalidParameter {
-            name: "index_name",
-            message: format!("no index registered under `{index_name}`"),
-        })?;
-        let response = self.serve_named(index.as_ref(), index_name, request, "front")?;
-        Ok((response, FrontPath::QueryParallel))
-    }
-
-    /// The shard-vs-query parallelism call for [`Engine::serve_front`].
+    /// The shard-vs-query parallelism call for a sharded entry in [`Engine::serve`].
     fn prefer_shard_parallel(&self, index_name: &str, shards: usize, batch: usize) -> bool {
         if batch >= shards.saturating_mul(2).max(2) {
             return false; // enough queries to saturate workers without fan-out
@@ -224,47 +156,10 @@ impl Engine {
         }
     }
 
-    /// Serves a batch against an explicit index handle (skips the registry lookup).
-    /// Metrics for this path are labeled with the index's method name
-    /// ([`P2hIndex::name`]) since no registered name exists.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] on any query/index dimension mismatch and
-    /// [`Error::InvalidParameter`] if an override targets a position outside the batch
-    /// (a silent no-op otherwise — almost certainly an off-by-one at the call site).
-    pub fn serve_index(
-        &self,
-        index: &SharedIndex,
-        request: &BatchRequest,
-    ) -> Result<BatchResponse> {
-        self.serve_named(index.as_ref(), index.name(), request, "batch")
-    }
-
-    fn serve_named(
-        &self,
-        index: &dyn P2hIndex,
-        label: &str,
-        request: &BatchRequest,
-        path: &str,
-    ) -> Result<BatchResponse> {
-        validate_request(index, request)?;
-        let trace = plan_trace(request);
-        let response = match &trace {
-            Some(plan) => self.executor.execute(index, &plan.request),
-            None => self.executor.execute(index, request),
-        };
-        self.metrics.record_batch(label, &response);
-        if let Some(plan) = &trace {
-            write_traces(plan, label, path, &response.results, &response.latencies_ns);
-        }
-        Ok(response)
-    }
-
     /// Serves a batch against the *sharded* index registered under `index_name`,
-    /// fanning each query across its shards with a [`ShardedExecutor`] (same worker
-    /// count as the engine's batch executor) and returning per-shard latency and work
-    /// statistics alongside the merged per-query results.
+    /// always fanning each query across its shards (the forced form of the
+    /// shard-parallel path [`Engine::serve`] picks for small batches) and returning
+    /// per-shard latency and work statistics alongside the merged per-query results.
     ///
     /// The merged results are bit-identical to [`Engine::serve`] on the same name —
     /// only the parallelism shape (across shards vs across queries) and the telemetry
@@ -273,38 +168,56 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] if no *sharded* index is registered under
-    /// `index_name` (plain indexes serve through [`Engine::serve`]) and the same
-    /// validation errors as [`Engine::serve`].
+    /// `index_name` and the same validation errors as [`Engine::serve`].
     pub fn serve_sharded(
         &self,
         index_name: &str,
         request: &BatchRequest,
     ) -> Result<ShardedBatchResponse> {
-        let index =
-            self.registry.get_sharded(index_name).ok_or_else(|| Error::InvalidParameter {
-                name: "index_name",
-                message: format!("no sharded index registered under `{index_name}`"),
-            })?;
-        self.serve_sharded_on(&index, index_name, request, "sharded")
+        match self.registry.entry(index_name) {
+            Some(entry @ Entry::Sharded(_)) => self.serve_entry(index_name, &entry, request, true),
+            _ => Err(not_registered("sharded ", index_name)),
+        }
     }
 
-    fn serve_sharded_on(
+    /// Validate → plan trace → execute → record metrics → write traces, once for
+    /// every entry kind. `fan_out` forces sharded entries onto the shard-parallel
+    /// path; otherwise [`Engine::prefer_shard_parallel`] decides.
+    fn serve_entry(
         &self,
-        index: &Arc<p2h_shard::ShardedIndex>,
-        label: &str,
+        name: &str,
+        entry: &Entry,
         request: &BatchRequest,
-        path: &str,
+        fan_out: bool,
     ) -> Result<ShardedBatchResponse> {
-        validate_request(index.as_ref(), request)?;
-        let executor = ShardedExecutor::new(self.executor.threads());
+        validate_request(entry.dim(), request)?;
         let trace = plan_trace(request);
-        let response = match &trace {
-            Some(plan) => executor.execute(index, &plan.request),
-            None => executor.execute(index, request),
+        let effective = trace.as_ref().map_or(request, |plan| &plan.request);
+        let unsharded = |batch| ShardedBatchResponse {
+            batch,
+            per_shard_latency: Vec::new(),
+            per_shard_stats: Vec::new(),
         };
-        self.metrics.record_sharded(label, &response);
+        let response = match entry {
+            Entry::Sharded(index)
+                if fan_out
+                    || self.prefer_shard_parallel(name, index.shard_count(), request.len()) =>
+            {
+                self.executor.execute_sharded(index, effective)
+            }
+            Entry::Sharded(index) => unsharded(self.executor.execute(index.as_ref(), effective)),
+            Entry::Plain(index) => unsharded(self.executor.execute(index.as_ref(), effective)),
+            Entry::Live(index) => unsharded(self.executor.execute_live(index, effective)?),
+        };
+        self.metrics.record(name, &response);
         if let Some(plan) = &trace {
-            write_traces(plan, label, path, &response.results, &response.latencies_ns);
+            let batch = &response.batch;
+            let path = match batch.path {
+                ServePath::QueryParallel => "batch",
+                ServePath::ShardParallel => "sharded",
+                ServePath::Live => "live",
+            };
+            write_traces(plan, name, path, &batch.results, &batch.latencies_ns);
         }
         Ok(response)
     }
@@ -348,80 +261,35 @@ impl Engine {
     }
 
     fn live_handle(&self, index_name: &str) -> std::result::Result<Arc<LiveIndex>, LiveError> {
-        self.registry.get_live(index_name).ok_or_else(|| {
-            LiveError::Core(Error::InvalidParameter {
-                name: "index_name",
-                message: format!("no live index registered under `{index_name}`"),
-            })
-        })
+        self.registry
+            .get_live(index_name)
+            .ok_or_else(|| LiveError::Core(not_registered("live ", index_name)))
     }
 
-    /// Serves a batch against the *live* index registered under `index_name`. Same
-    /// validation, metrics, and tracing as [`Engine::serve`]; answers are
-    /// bit-identical to a full rebuild containing the same live points. Queries run
-    /// sequentially on the calling thread (the live tier's read lock is held per
-    /// query, so mutations interleave between queries, never inside one).
+    /// Serves a batch against the *live* index registered under `index_name` —
+    /// [`Engine::serve`] restricted to live entries. Answers are bit-identical to a
+    /// full rebuild containing the same live points.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] if no live index is registered under
     /// `index_name` and the same validation errors as [`Engine::serve`].
     pub fn serve_live(&self, index_name: &str, request: &BatchRequest) -> Result<BatchResponse> {
-        let index = self.registry.get_live(index_name).ok_or_else(|| Error::InvalidParameter {
-            name: "index_name",
-            message: format!("no live index registered under `{index_name}`"),
-        })?;
-        self.serve_live_on(&index, index_name, request, "live")
-    }
-
-    fn serve_live_on(
-        &self,
-        index: &Arc<LiveIndex>,
-        label: &str,
-        request: &BatchRequest,
-        path: &str,
-    ) -> Result<BatchResponse> {
-        validate_queries(index.dim(), request)?;
-        let trace = plan_trace(request);
-        let effective = trace.as_ref().map_or(request, |plan| &plan.request);
-        let wall_start = Instant::now();
-        let mut scratch = QueryScratch::new();
-        let mut results = Vec::with_capacity(effective.queries.len());
-        let mut latencies_ns = Vec::with_capacity(effective.queries.len());
-        let mut total_stats = SearchStats::default();
-        for (position, query) in effective.queries.iter().enumerate() {
-            let params = effective.params_for(position);
-            let query_start = Instant::now();
-            let result = index.search_with_scratch(query, params, &mut scratch)?;
-            latencies_ns.push(query_start.elapsed().as_nanos() as u64);
-            total_stats.merge(&result.stats);
-            results.push(result);
+        match self.registry.entry(index_name) {
+            Some(entry @ Entry::Live(_)) => {
+                Ok(self.serve_entry(index_name, &entry, request, false)?.batch)
+            }
+            _ => Err(not_registered("live ", index_name)),
         }
-        let response = BatchResponse {
-            latency: LatencyHistogram::from_latencies(latencies_ns.iter().copied()),
-            results,
-            latencies_ns,
-            total_stats,
-            wall_time_ns: wall_start.elapsed().as_nanos() as u64,
-        };
-        self.metrics.record_batch(label, &response);
-        if let Some(plan) = &trace {
-            write_traces(plan, label, path, &response.results, &response.latencies_ns);
-        }
-        Ok(response)
     }
 }
 
-/// Drops the per-shard telemetry off a [`ShardedBatchResponse`], leaving the merged
-/// per-query payload a front-end actually returns to clients. The results, latencies,
-/// and stats are moved, not recomputed — bit-for-bit what the sharded path produced.
-fn flatten_sharded(response: ShardedBatchResponse) -> BatchResponse {
-    BatchResponse {
-        results: response.results,
-        latencies_ns: response.latencies_ns,
-        latency: response.latency,
-        total_stats: response.total_stats,
-        wall_time_ns: response.wall_time_ns,
+/// The typed error for a name that holds no entry of the wanted kind (`kind` is
+/// `""`, `"sharded "` or `"live "`).
+fn not_registered(kind: &str, index_name: &str) -> Error {
+    Error::InvalidParameter {
+        name: "index_name",
+        message: format!("no {kind}index registered under `{index_name}`"),
     }
 }
 
@@ -494,13 +362,7 @@ pub(crate) fn write_traces(
 
 /// Up-front request validation shared by every serving path: dimension mismatches and
 /// out-of-range overrides are errors, not worker-thread panics or silent no-ops.
-fn validate_request(index: &dyn P2hIndex, request: &BatchRequest) -> Result<()> {
-    validate_queries(index.dim(), request)
-}
-
-/// [`validate_request`] against a bare augmented dimension, for serving paths whose
-/// index is not a [`P2hIndex`] trait object (the live tier).
-fn validate_queries(dim: usize, request: &BatchRequest) -> Result<()> {
+fn validate_request(dim: usize, request: &BatchRequest) -> Result<()> {
     for query in &request.queries {
         if query.dim() != dim {
             return Err(Error::DimensionMismatch { expected: dim, actual: query.dim() });
@@ -577,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_front_dispatches_and_stays_bit_identical() {
+    fn serve_dispatches_by_entry_kind_and_stays_bit_identical() {
         use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndexBuilder};
         let engine = engine_with_scan();
         let rows: Vec<Vec<Scalar>> =
@@ -598,9 +460,12 @@ mod tests {
                 .collect();
             BatchRequest::new(queries, SearchParams::exact(4))
         };
-        let assert_same = |a: &BatchResponse, b: &BatchResponse| {
-            assert_eq!(a.results.len(), b.results.len());
-            for (x, y) in a.results.iter().zip(&b.results) {
+        // The reference: the query-parallel executor on the trait-object handle.
+        let assert_same = |name: &str, served: &BatchResponse, request: &BatchRequest| {
+            let index = engine.registry().get(name).unwrap();
+            let reference = engine.executor().execute(index.as_ref(), request);
+            assert_eq!(served.results.len(), reference.results.len());
+            for (x, y) in served.results.iter().zip(&reference.results) {
                 let xb: Vec<(usize, u32)> =
                     x.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect();
                 let yb: Vec<(usize, u32)> =
@@ -611,27 +476,36 @@ mod tests {
 
         // Plain index: the only path is query-parallel.
         let request = make_request(3);
-        let (front, path) = engine.serve_front("scan", &request).unwrap();
-        assert_eq!(path, FrontPath::QueryParallel);
-        assert_same(&front, &engine.serve("scan", &request).unwrap());
+        let served = engine.serve("scan", &request).unwrap();
+        assert_eq!(served.path, ServePath::QueryParallel);
+        assert_same("scan", &served, &request);
 
         // Sharded, small batch (< 2×shards): fan-out across shards.
         let small = make_request(2);
-        let (front, path) = engine.serve_front("sh", &small).unwrap();
-        assert_eq!(path, FrontPath::ShardParallel);
-        assert_same(&front, &engine.serve("sh", &small).unwrap());
+        let served = engine.serve("sh", &small).unwrap();
+        assert_eq!(served.path, ServePath::ShardParallel);
+        assert_same("sh", &served, &small);
 
         // Sharded, large batch: query-parallel wins.
         let large = make_request(16);
-        let (front, path) = engine.serve_front("sh", &large).unwrap();
-        assert_eq!(path, FrontPath::QueryParallel);
-        assert_same(&front, &engine.serve("sh", &large).unwrap());
+        let served = engine.serve("sh", &large).unwrap();
+        assert_eq!(served.path, ServePath::QueryParallel);
+        assert_same("sh", &served, &large);
 
-        // Unknown names are typed errors on the front path too.
-        assert!(matches!(
-            engine.serve_front("nope", &small),
-            Err(Error::InvalidParameter { name: "index_name", .. })
-        ));
+        // The forced fan-out path answers the same, with per-shard telemetry.
+        let fanned = engine.serve_sharded("sh", &large).unwrap();
+        assert_eq!(fanned.batch.path, ServePath::ShardParallel);
+        assert_eq!(fanned.per_shard_latency.len(), 2);
+        assert_same("sh", &fanned.batch, &large);
+
+        // Unknown names and wrong kinds are typed errors.
+        for outcome in [
+            engine.serve("nope", &small).map(drop),
+            engine.serve_sharded("scan", &small).map(drop),
+            engine.serve_live("sh", &small).map(drop),
+        ] {
+            assert!(matches!(outcome, Err(Error::InvalidParameter { name: "index_name", .. })));
+        }
     }
 
     #[test]

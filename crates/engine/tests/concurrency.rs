@@ -1,11 +1,16 @@
 //! Concurrency smoke tests: one shared engine serving many client threads at once,
 //! with registration and removal interleaved mid-flight.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
-use p2h_core::{LinearScan, P2hIndex as _, SearchParams};
+use p2h_core::{LinearScan, P2hIndex as _, PointSet, Scalar, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
-use p2h_engine::{BatchRequest, BcTreeBuilder, Engine};
+use p2h_engine::{
+    BatchRequest, BcTreeBuilder, Engine, Entry, IndexRegistry, LiveIndex, Partitioner,
+    ShardIndexKind, ShardedIndexBuilder, Store,
+};
 
 #[test]
 fn many_client_threads_share_one_index() {
@@ -69,9 +74,75 @@ fn removal_mid_flight_does_not_invalidate_served_handles() {
     assert!(engine.registry().get("victim").is_none());
 
     let request = BatchRequest::new(queries, SearchParams::exact(3));
-    let response = engine.serve_index(&handle, &request).unwrap();
+    let response = engine.executor().execute(handle.as_ref(), &request);
     assert_eq!(response.results.len(), 8);
 
     // Serving by the removed name is a clean error.
     assert!(engine.serve("victim", &request).is_err());
+}
+
+/// Registry readers (`names`, `len`) and writers of every entry kind (`register`,
+/// `register_sharded`, `register_live`, `remove`) interleave without deadlocking. A
+/// watchdog fails the test instead of hanging the suite.
+#[test]
+fn registry_readers_and_writers_of_every_kind_never_deadlock() {
+    let dir =
+        std::env::temp_dir().join(format!("p2h-engine-registry-locks-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = Store::create(&dir).unwrap();
+    let mut live = LiveIndex::create(&store, "live", 3).unwrap();
+    let rows: Vec<Vec<Scalar>> = (0..20).map(|i| vec![i as Scalar, 0.5]).collect();
+    let points = PointSet::augment(&rows).unwrap();
+
+    let registry = Arc::new(IndexRegistry::new());
+    let writing = Arc::new(AtomicBool::new(true));
+    let (finished, watchdog) = mpsc::channel();
+
+    let reader = {
+        let (registry, writing, finished) =
+            (Arc::clone(&registry), Arc::clone(&writing), finished.clone());
+        std::thread::spawn(move || {
+            while writing.load(Ordering::Relaxed) {
+                let names = registry.names();
+                assert!(names.len() <= 3);
+                assert!(registry.len() <= 3);
+            }
+            finished.send("reader").unwrap();
+        })
+    };
+    let writer = {
+        let registry = Arc::clone(&registry);
+        std::thread::spawn(move || {
+            let names = ["a", "b", "c"];
+            for round in 0..600 {
+                let sharded = ShardedIndexBuilder::new(
+                    Partitioner::Contiguous { shards: 2 },
+                    ShardIndexKind::LinearScan,
+                )
+                .build(&points)
+                .unwrap();
+                registry.register_sharded(names[round % 3], sharded);
+                registry.register(names[(round + 1) % 3], LinearScan::new(points.clone()));
+                drop(registry.register_live(names[(round + 2) % 3], live));
+                // Take the live index back out so the next round can register it again.
+                live = match registry.remove(names[(round + 2) % 3]) {
+                    Some(Entry::Live(handle)) => Arc::try_unwrap(handle)
+                        .unwrap_or_else(|_| panic!("the registry held the only handle")),
+                    _ => panic!("the live entry was replaced concurrently"),
+                };
+                registry.remove(names[round % 3]);
+            }
+            writing.store(false, Ordering::Relaxed);
+            finished.send("writer").unwrap();
+        })
+    };
+
+    for _ in 0..2 {
+        if let Err(e) = watchdog.recv_timeout(Duration::from_secs(60)) {
+            panic!("registry readers and writers stopped making progress: {e}");
+        }
+    }
+    reader.join().unwrap();
+    writer.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

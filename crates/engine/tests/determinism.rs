@@ -68,7 +68,7 @@ fn engine_serve_matches_direct_execution() {
     for (got, want) in via_engine.results.iter().zip(reference.iter()) {
         assert_eq!(got.neighbors, want.neighbors);
     }
-    assert_eq!(via_engine.latency.count(), queries.len());
+    assert_eq!(via_engine.latency.count(), queries.len() as u64);
     assert!(via_engine.total_stats.candidates_verified > 0);
 }
 

@@ -109,7 +109,9 @@ fn engine_cold_starts_a_sharded_index_from_a_shard_group() {
     let served = engine.serve("sharded", &request).unwrap();
     let shard_parallel = engine.serve_sharded("sharded", &request).unwrap();
     assert_eq!(served.results.len(), reference.results.len());
-    for ((a, b), c) in served.results.iter().zip(&reference.results).zip(&shard_parallel.results) {
+    for ((a, b), c) in
+        served.results.iter().zip(&reference.results).zip(&shard_parallel.batch.results)
+    {
         assert_eq!(a.neighbors, b.neighbors);
         assert_eq!(a.neighbors, c.neighbors);
     }
@@ -183,7 +185,7 @@ fn mmap_cold_start_serves_bit_identically_to_copy() {
     }
     let a = copy.serve_sharded("sharded", &request).unwrap();
     let b = mmap.serve_sharded("sharded", &request).unwrap();
-    for (x, y) in a.results.iter().zip(&b.results) {
+    for (x, y) in a.batch.results.iter().zip(&b.batch.results) {
         assert_eq!(x.neighbors, y.neighbors);
     }
 

@@ -17,9 +17,10 @@
 //!   [`p2h_engine::Engine`] from the snapshot store and swaps it in under live
 //!   traffic; in-flight batches finish on the engine they captured.
 //!
-//! Batches dispatch through `Engine::serve_front`, which routes each one to the
+//! Batches dispatch through `Engine::serve`, which routes each one to the
 //! live / shard-parallel / query-parallel path using the registry and the
-//! observed `p2h_shard_latency_ns` histograms. The `p2h_front_*` metric families
+//! observed `p2h_shard_latency_ns` histograms, and reports the path taken as
+//! `BatchResponse::path`. The `p2h_front_*` metric families
 //! (catalog in `docs/OBSERVABILITY.md`) expose queue depth, batch sizes, shed
 //! counts, and dispatch paths; `docs/SERVING.md` documents the protocol and
 //! operational lifecycle.

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use p2h_engine::FrontPath;
+use p2h_engine::ServePath;
 use p2h_obs::{Counter, Gauge, Histogram};
 
 /// Cached instrument handles for one front-end server.
@@ -42,7 +42,7 @@ impl FrontMetrics {
                 &[("reason", reason)],
             )
         };
-        let dispatch = |path: FrontPath| {
+        let dispatch = |path: ServePath| {
             reg.counter(
                 "p2h_front_dispatch_total",
                 "Coalesced batches dispatched, by engine serving path.",
@@ -88,19 +88,19 @@ impl FrontMetrics {
                 &[],
             ),
             dispatch: [
-                dispatch(FrontPath::Live),
-                dispatch(FrontPath::ShardParallel),
-                dispatch(FrontPath::QueryParallel),
+                dispatch(ServePath::Live),
+                dispatch(ServePath::ShardParallel),
+                dispatch(ServePath::QueryParallel),
             ],
         }
     }
 
     /// The dispatch counter for `path`.
-    pub fn dispatch_for(&self, path: FrontPath) -> &Arc<Counter> {
+    pub fn dispatch_for(&self, path: ServePath) -> &Arc<Counter> {
         match path {
-            FrontPath::Live => &self.dispatch[0],
-            FrontPath::ShardParallel => &self.dispatch[1],
-            FrontPath::QueryParallel => &self.dispatch[2],
+            ServePath::Live => &self.dispatch[0],
+            ServePath::ShardParallel => &self.dispatch[1],
+            ServePath::QueryParallel => &self.dispatch[2],
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The front-end server: nonblocking accept loop, `poll(2)` event loops
 //! multiplexing client connections, a batcher thread draining the coalescing
-//! queue into [`Engine::serve_front`], and zero-downtime engine reloads.
+//! queue into [`Engine::serve`], and zero-downtime engine reloads.
 //!
 //! Threading model (all plain `std` threads, no async runtime):
 //!
@@ -12,7 +12,7 @@
 //!   coalescing queue, and flushes buffered replies under `POLLOUT`. A stalled or
 //!   hostile client can therefore never block another connection.
 //! * **batcher** — forms per-index batches under the `max_batch`/`max_delay`
-//!   policy and serves them through [`Engine::serve_front`]; replies are routed
+//!   policy and serves them through [`Engine::serve`]; replies are routed
 //!   back to each connection's event loop as completions.
 //!
 //! Answers are **bit-identical** to serving each query alone: the batch executor
@@ -628,11 +628,11 @@ fn serve_batch(shared: &Shared, index: &str, items: Vec<Pending>) {
     for (position, pending) in accepted.iter().enumerate() {
         request.overrides.push((position, pending.query.params.clone()));
     }
-    match engine.serve_front(index, &request) {
-        Ok((response, path)) => {
+    match engine.serve(index, &request) {
+        Ok(response) => {
             shared.metrics.batches.inc();
             shared.metrics.batch_size.record(accepted.len() as u64);
-            shared.metrics.dispatch_for(path).inc();
+            shared.metrics.dispatch_for(response.path).inc();
             let now = Instant::now();
             for (pending, result) in accepted.into_iter().zip(response.results) {
                 shared

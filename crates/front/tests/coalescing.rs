@@ -2,8 +2,8 @@
 //!
 //! Any mix of concurrent clients, batching policy (`max_batch`/`max_delay`), entry
 //! kind (plain / sharded / live), and pipelining depth must produce answers
-//! **bit-identical** (ids + `f32` distance bits) to `Engine::serve`/`serve_live`
-//! run on the same query *alone*. The CI front job re-runs this suite under
+//! **bit-identical** (ids + `f32` distance bits) to the same query answered
+//! *alone*, outside the engine's dispatch policy (`common::serve_alone`). The CI front job re-runs this suite under
 //! `P2H_FORCE_SCALAR=1` and both `P2H_STORE_MMAP` modes, so the property also
 //! covers the SIMD-vs-scalar and load-mode axes.
 

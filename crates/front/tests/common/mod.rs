@@ -1,7 +1,8 @@
 //! Shared fixture for the front-end integration suites: a deterministic engine
 //! carrying all three dispatchable entry kinds (plain trait-object, sharded,
-//! live), plus the per-query oracle — `Engine::serve`/`serve_live` **alone**, the
-//! exact baseline the coalescing bit-identity contract is stated against.
+//! live), plus the per-query oracle — each query answered **alone**, outside the
+//! engine's dispatch policy, the exact baseline the coalescing bit-identity
+//! contract is stated against.
 
 // Each integration binary compiles its own copy of this module and uses a
 // different subset of it.
@@ -9,8 +10,10 @@
 
 use std::sync::Arc;
 
-use p2h_core::{HyperplaneQuery, LinearScan, PointSet, Scalar, SearchParams, SearchResult};
-use p2h_engine::{BatchRequest, Engine};
+use p2h_core::{
+    HyperplaneQuery, LinearScan, PointSet, QueryScratch, Scalar, SearchParams, SearchResult,
+};
+use p2h_engine::{BatchRequest, Engine, Entry};
 use p2h_live::LiveIndex;
 use p2h_shard::{Partitioner, ShardIndexKind, ShardedIndexBuilder};
 use p2h_store::Store;
@@ -92,21 +95,27 @@ pub fn fixture(tag: &str, seed: u64, points: usize, queries: usize) -> Fixture {
     Fixture { engine: Arc::new(engine), queries: synthetic_queries(queries, seed), store_dir }
 }
 
-/// The oracle: the same query served **alone** through the engine's own path for
-/// that entry kind — precisely the baseline the front-end must be bit-identical to.
+/// The oracle: the same query answered **alone**, bypassing `Engine::serve` and
+/// its dispatch policy — plain and sharded entries through the query-parallel
+/// executor on the trait-object handle, live entries through a direct
+/// `LiveIndex` search — so the property compares two different execution shapes.
 pub fn serve_alone(
     engine: &Engine,
     entry: &str,
     query: &HyperplaneQuery,
     params: &SearchParams,
 ) -> SearchResult {
-    let request = BatchRequest::new(vec![query.clone()], params.clone());
-    let mut response = if entry == "live" {
-        engine.serve_live(entry, &request).expect("oracle serve_live")
-    } else {
-        engine.serve(entry, &request).expect("oracle serve")
-    };
-    response.results.pop().expect("one query, one result")
+    match engine.registry().entry(entry).expect("oracle entry registered") {
+        Entry::Live(live) => live
+            .search_with_scratch(query, params, &mut QueryScratch::new())
+            .expect("oracle live search"),
+        _ => {
+            let index = engine.registry().get(entry).expect("oracle index registered");
+            let request = BatchRequest::new(vec![query.clone()], params.clone());
+            let mut response = engine.executor().execute(index.as_ref(), &request);
+            response.results.pop().expect("one query, one result")
+        }
+    }
 }
 
 /// Bit-exact comparison: neighbor ids and raw `f32` distance bits.

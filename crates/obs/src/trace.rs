@@ -117,9 +117,9 @@ pub struct QueryTrace<'a> {
     pub seq: u64,
     /// Name the index is registered under.
     pub index: &'a str,
-    /// Serving path: `"batch"` (query-parallel), `"sharded"` (fan-out),
-    /// `"live"` (layered memtable + base), or `"front"` (coalesced batches
-    /// dispatched through `Engine::serve_front`).
+    /// Serving path the batch took: `"batch"` (query-parallel), `"sharded"`
+    /// (fan-out across shards), `"live"` (layered memtable + base), or `"remote"`
+    /// (routed to shard servers through `Engine::serve_remote`).
     pub path: &'a str,
     /// Query position within its batch.
     pub query: usize,

@@ -14,7 +14,7 @@ use crate::partition::Partitioner;
 ///
 /// A query fans out over the shards — sequentially in [`P2hIndex::search_with_scratch`]
 /// (one worker, one reused scratch; the batch executor in `p2h-engine` parallelizes
-/// over queries), or shard-parallel through the engine's `ShardedExecutor` — and the
+/// over queries), or shard-parallel through `BatchExecutor::execute_sharded` — and the
 /// per-shard top-k lists are merged with the total [`Neighbor`] order. For exact
 /// search the merged answer is **bit-identical** (neighbor ids and distance bits) to a
 /// single index of the same kind over the unpartitioned points, for every shard count

@@ -52,9 +52,10 @@ fn main() {
     for name in engine.registry().names() {
         let response = engine.serve(&name, &request).expect("serve batch");
         println!(
-            "{name:<5} {:>8.0} qps  {}  avg {:.0} candidates/query",
+            "{name:<5} {:>8.0} qps  p50={:.3}ms p99={:.3}ms  avg {:.0} candidates/query",
             response.throughput_qps(),
-            response.latency.summary_ms(),
+            response.latency.quantile(0.50) as f64 / 1.0e6,
+            response.latency.quantile(0.99) as f64 / 1.0e6,
             response.total_stats.candidates_verified as f64 / response.results.len() as f64,
         );
     }

@@ -52,8 +52,11 @@ fn main() {
 
     let batch = engine.serve("p2h", &request).expect("batch serve");
     let fanout = engine.serve_sharded("p2h", &request).expect("sharded serve");
-    println!("query-parallel: {:.0} qps, {}", batch.throughput_qps(), batch.latency.summary_ms());
-    println!("shard-parallel: {:.0} qps, {}", fanout.throughput_qps(), fanout.latency.summary_ms());
+    let fanout = &fanout.batch;
+    for (path, response) in [("query-parallel", &batch), ("shard-parallel", fanout)] {
+        let p99_ms = response.latency.quantile(0.99) as f64 / 1.0e6;
+        println!("{path}: {:.0} qps, p99={p99_ms:.3}ms", response.throughput_qps());
+    }
 
     // Per-shard tail latency, read back from the metrics registry rather than the
     // response: this is what a dashboard scraping the exposition endpoint would see.

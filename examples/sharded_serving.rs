@@ -7,6 +7,7 @@
 //! ```
 
 use p2hnns::engine::{BatchRequest, Engine};
+use p2hnns::obs::StreamingHistogram;
 use p2hnns::shard::{Partitioner, ShardIndexKind, ShardedIndexBuilder};
 use p2hnns::{
     generate_queries, DataDistribution, LinearScan, P2hIndex, QueryDistribution, SearchParams,
@@ -43,23 +44,32 @@ fn main() {
         sharded.index_size_bytes() / 1024
     );
 
-    // Serve through the engine. The sharded index is an ordinary `P2hIndex`, so the
-    // query-parallel batch path just works; `serve_sharded` additionally fans each
-    // query across the shards and reports per-shard latency.
+    // Serve through the engine. `serve` picks query-parallel or shard-parallel
+    // execution per batch (this 64-query batch runs query-parallel);
+    // `serve_sharded` always fans each query across the shards and reports
+    // per-shard latency.
     let engine = Engine::new(0);
     engine.registry().register_sharded("p2h", sharded);
     let batch = engine.serve("p2h", &request).expect("batch serve");
     let fanout = engine.serve_sharded("p2h", &request).expect("sharded serve");
-    println!("query-parallel: {:.0} qps, {}", batch.throughput_qps(), batch.latency.summary_ms());
-    println!("shard-parallel: {:.0} qps, {}", fanout.throughput_qps(), fanout.latency.summary_ms());
+    let summary = |h: &StreamingHistogram| {
+        let ms = |q: f64| h.quantile(q) as f64 / 1.0e6;
+        format!("p50={:.3}ms p99={:.3}ms (n={})", ms(0.50), ms(0.99), h.count())
+    };
+    println!("query-parallel: {:.0} qps, {}", batch.throughput_qps(), summary(&batch.latency));
+    println!(
+        "shard-parallel: {:.0} qps, {}",
+        fanout.batch.throughput_qps(),
+        summary(&fanout.batch.latency)
+    );
     for (shard, histogram) in fanout.per_shard_latency.iter().enumerate() {
-        println!("  shard {shard}: {}", histogram.summary_ms());
+        println!("  shard {shard}: {}", summary(histogram));
     }
 
     // The merge is exact: both paths agree with the unsharded linear-scan oracle bit
     // for bit.
     let oracle = LinearScan::new(points.clone());
-    for (i, (a, b)) in batch.results.iter().zip(&fanout.results).enumerate() {
+    for (i, (a, b)) in batch.results.iter().zip(&fanout.batch.results).enumerate() {
         let expected = oracle.search(&request.queries[i], request.params_for(i));
         assert_eq!(a.neighbors, expected.neighbors);
         assert_eq!(b.neighbors, expected.neighbors);

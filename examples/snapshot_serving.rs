@@ -81,9 +81,11 @@ fn main() {
             .zip(&copied.results)
             .all(|((a, b), c)| a.neighbors == b.neighbors && a.neighbors == c.neighbors);
         println!(
-            "{name:<5} {:>8.0} qps  {}  mmap ≡ copy ≡ in-memory build: {identical}",
+            "{name:<5} {:>8.0} qps  p50={:.3}ms p99={:.3}ms  mmap ≡ copy ≡ in-memory build: \
+             {identical}",
             loaded.throughput_qps(),
-            loaded.latency.summary_ms(),
+            loaded.latency.quantile(0.50) as f64 / 1.0e6,
+            loaded.latency.quantile(0.99) as f64 / 1.0e6,
         );
         assert!(identical, "loaded index diverged from the original");
     }

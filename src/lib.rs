@@ -74,7 +74,7 @@
 //!
 //! let response = engine.serve("bc", &request).unwrap();
 //! assert_eq!(response.results.len(), 8);
-//! println!("{} qps, {}", response.throughput_qps(), response.latency.summary_ms());
+//! println!("{} qps, p99 {} ns", response.throughput_qps(), response.latency.quantile(0.99));
 //! ```
 //!
 //! ## Sharded serving
@@ -108,8 +108,9 @@
 //! let queries = generate_queries(&points, 4, QueryDistribution::DataDifference, 9).unwrap();
 //! let request = BatchRequest::new(queries, SearchParams::exact(5));
 //!
-//! // Same `BatchRequest` API as any other index; `serve_sharded` adds per-shard
-//! // latency histograms and fans each query across the shards.
+//! // Same `BatchRequest` API as any other index: `serve` picks query-parallel or
+//! // shard-parallel execution per batch; `serve_sharded` always fans each query
+//! // across the shards and adds per-shard latency histograms.
 //! let response = engine.serve("p2h", &request).unwrap();
 //! let fanout = engine.serve_sharded("p2h", &request).unwrap();
 //! assert_eq!(fanout.per_shard_latency.len(), 4);
@@ -119,7 +120,7 @@
 //! for (i, result) in response.results.iter().enumerate() {
 //!     let expected = oracle.search(&request.queries[i], request.params_for(i));
 //!     assert_eq!(result.neighbors, expected.neighbors);
-//!     assert_eq!(result.neighbors, fanout.results[i].neighbors);
+//!     assert_eq!(result.neighbors, fanout.batch.results[i].neighbors);
 //! }
 //! ```
 //!
@@ -238,14 +239,15 @@
 //!
 //! let query = HyperplaneQuery::from_normal_and_bias(&[1.0, 1.0], -1.8).unwrap();
 //! let request = BatchRequest::new(vec![query], SearchParams::exact(1));
-//! let response = engine.serve_live("stream", &request).unwrap();
+//! // Live entries serve through the same `serve` as every other kind.
+//! let response = engine.serve("stream", &request).unwrap();
 //! assert_eq!(response.results[0].neighbors[0].index, 0);
 //!
 //! // Fold the memtable into a compacted Ball-Tree base (a new store epoch), then
 //! // cold-start: the manifest's live entry replays to the identical state.
 //! engine.live("stream").unwrap().compact().unwrap();
 //! let restarted = Engine::from_store(&dir, 0).unwrap();
-//! let again = restarted.serve_live("stream", &request).unwrap();
+//! let again = restarted.serve("stream", &request).unwrap();
 //! assert_eq!(response.results[0].neighbors, again.results[0].neighbors);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
@@ -347,8 +349,8 @@ pub use p2h_data::{
     generate_queries, DataDistribution, GroundTruth, QueryDistribution, SyntheticDataset,
 };
 pub use p2h_engine::{
-    BatchExecutor, BatchRequest, BatchResponse, Engine, IndexRegistry, LatencyHistogram,
-    ShardedBatchResponse, ShardedExecutor, SharedIndex,
+    BatchExecutor, BatchRequest, BatchResponse, Engine, Entry, IndexRegistry, ServePath,
+    ShardedBatchResponse, SharedIndex,
 };
 pub use p2h_eval::{
     evaluate, evaluate_parallel, sweep_budgets, time_profile, MethodEvaluation, ParallelEvaluation,
