@@ -59,8 +59,8 @@ impl BatchRequest {
 /// (`p2h_front_dispatch_total{path=…}`) without callers ever observing a difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServePath {
-    /// A live (mutable) index answered, through the batch executor's work loop on
-    /// the calling thread.
+    /// A live (mutable) index answered, through the batch executor's work loop,
+    /// query-parallel.
     Live,
     /// Each query fanned out across the shards of a sharded index, one (shard, query)
     /// sub-search per task. Router-served batches (`Engine::serve_remote`) report this

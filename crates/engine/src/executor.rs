@@ -1,7 +1,9 @@
-//! The scoped-thread batch executor: one chunked work-stealing loop behind every
-//! serving path (plain, sharded fan-out, live).
+//! The batch executor: one chunked work-stealing loop behind every serving path
+//! (plain, sharded fan-out, live), run by the calling thread and the executor's
+//! long-lived helper threads (see [`crate::pool`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use p2h_core::{P2hIndex, QueryScratch, Result, SearchResult, SearchStats};
@@ -10,6 +12,7 @@ use p2h_obs::StreamingHistogram;
 use p2h_shard::{merge_topk, ShardedIndex};
 
 use crate::batch::{BatchRequest, BatchResponse, ServePath, ShardedBatchResponse};
+use crate::pool::Pool;
 
 /// Largest number of tasks a worker claims per cursor bump.
 const MAX_CHUNK: usize = 32;
@@ -22,6 +25,13 @@ fn chunk_size(n: usize, workers: usize) -> usize {
 }
 
 /// Executes query batches over worker threads with deterministic result ordering.
+///
+/// The workers of a batch are the calling thread plus up to `threads − 1` helper
+/// threads that live as long as the executor: they are spawned at its first batch
+/// with more than one task and joined when its last clone is dropped. Clones share the
+/// helpers, and any number of threads may execute batches on one executor at once;
+/// each caller works on its own batch, so every batch makes progress even when all
+/// helpers are busy with other callers' batches.
 ///
 /// Work distribution is dynamic: an atomic cursor hands out *chunks* of consecutive
 /// task indexes (see [`chunk_size`]) so that workers synchronize once per chunk rather
@@ -37,9 +47,16 @@ fn chunk_size(n: usize, workers: usize) -> usize {
 /// through a scratch-reusing search, so the steady-state per-query path performs no
 /// heap allocation beyond each query's k-element result vector (verified by the
 /// `allocations` integration test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct BatchExecutor {
     threads: usize,
+    pool: Arc<Pool>,
+}
+
+impl std::fmt::Debug for BatchExecutor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BatchExecutor").field("threads", &self.threads).finish_non_exhaustive()
+    }
 }
 
 impl Default for BatchExecutor {
@@ -50,14 +67,14 @@ impl Default for BatchExecutor {
 
 impl BatchExecutor {
     /// Creates an executor with the given worker-thread count; `0` means one worker per
-    /// available CPU.
+    /// available CPU. No thread is spawned until the first multi-worker batch.
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(4, |p| p.get())
         } else {
             threads
         };
-        Self { threads }
+        Self { threads, pool: Arc::new(Pool::new(threads - 1)) }
     }
 
     /// The configured worker-thread count.
@@ -72,7 +89,7 @@ impl BatchExecutor {
     /// [`P2hIndex::search`] does.
     pub fn execute(&self, index: &dyn P2hIndex, request: &BatchRequest) -> BatchResponse {
         let start = Instant::now();
-        let outcomes = run(self.threads, request.queries.len(), |i, scratch| {
+        let outcomes = self.run(request.queries.len(), |i, scratch| {
             index.search_with_scratch(&request.queries[i], request.params_for(i), scratch)
         });
         assemble(outcomes, ServePath::QueryParallel, start)
@@ -98,11 +115,17 @@ impl BatchExecutor {
         let n_shards = index.shard_count();
         // Task `shard * n_queries + query`: the shard's globally-mapped top-k list
         // (None when the budget split skipped the shard) for that query.
-        let mut sub_searches = run(self.threads, n_queries * n_shards, |task, scratch| {
-            let (shard, query) = (task / n_queries, task % n_queries);
-            index.search_shard(shard, &request.queries[query], request.params_for(query), scratch)
-        })
-        .into_iter();
+        let mut sub_searches = self
+            .run(n_queries * n_shards, |task, scratch| {
+                let (shard, query) = (task / n_queries, task % n_queries);
+                index.search_shard(
+                    shard,
+                    &request.queries[query],
+                    request.params_for(query),
+                    scratch,
+                )
+            })
+            .into_iter();
 
         // Reassemble: merge each query's shard lists, aggregate per-shard telemetry.
         let mut per_shard_stats = vec![SearchStats::default(); n_shards];
@@ -144,71 +167,64 @@ impl BatchExecutor {
     }
 
     /// Executes every query of `request` against a live index through the same work
-    /// loop, with one worker: the calling thread. Each search holds the live tier's
-    /// read lock for that query only, so mutations interleave between queries, never
-    /// inside one.
-    ///
-    /// Helper threads spawned per batch beside a live tier's compaction threads made
-    /// glibc malloc place successive compactions in different arenas, so the freed
-    /// memory of one compaction was not reused by the next: peak RSS of the
-    /// `active-learning` benchmark workload rose from 121 to 151 MB on a 2-CPU host.
-    /// Parallel live batches need long-lived worker threads instead.
+    /// loop, in parallel across queries. Each search holds the live tier's read lock
+    /// for that query only, so mutations interleave between queries, never inside
+    /// one; the first failed query's error is returned.
     pub(crate) fn execute_live(
         &self,
         index: &LiveIndex,
         request: &BatchRequest,
     ) -> Result<BatchResponse> {
         let start = Instant::now();
-        let outcomes = run(1, request.queries.len(), |i, scratch| {
-            index.search_with_scratch(&request.queries[i], request.params_for(i), scratch)
-        })
-        .into_iter()
-        .map(|(result, latency_ns)| Ok((result?, latency_ns)))
-        .collect::<Result<Vec<_>>>()?;
+        let outcomes = self
+            .run(request.queries.len(), |i, scratch| {
+                index.search_with_scratch(&request.queries[i], request.params_for(i), scratch)
+            })
+            .into_iter()
+            .map(|(result, latency_ns)| Ok((result?, latency_ns)))
+            .collect::<Result<Vec<_>>>()?;
         Ok(assemble(outcomes, ServePath::Live, start))
     }
 }
 
-/// The work loop behind every execution shape: runs `task(i, scratch)` for every `i`
-/// in `0..tasks` on up to `workers` workers — the calling thread plus scoped helpers —
-/// each with its own scratch, and returns the outputs in task order, each with its
-/// wall-clock latency in nanoseconds.
-fn run<T: Send>(
-    workers: usize,
-    tasks: usize,
-    task: impl Fn(usize, &mut QueryScratch) -> T + Sync,
-) -> Vec<(T, u64)> {
-    let workers = workers.min(tasks).max(1);
-    let chunk = chunk_size(tasks, workers);
-    let cursor = AtomicUsize::new(0);
-    let work = || {
-        let mut scratch = QueryScratch::new();
-        let mut local = Vec::with_capacity(tasks / workers + chunk);
-        loop {
-            let begin = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if begin >= tasks {
-                return local;
+impl BatchExecutor {
+    /// The work loop behind every execution shape: runs `task(i, scratch)` for every
+    /// `i` in `0..tasks` on up to `threads` workers — the calling thread plus the
+    /// pool's helpers — each with its own scratch, and returns the outputs in task
+    /// order, each with its wall-clock latency in nanoseconds.
+    fn run<T: Send>(
+        &self,
+        tasks: usize,
+        task: impl Fn(usize, &mut QueryScratch) -> T + Sync,
+    ) -> Vec<(T, u64)> {
+        let workers = self.threads.min(tasks).max(1);
+        let chunk = chunk_size(tasks, workers);
+        let cursor = AtomicUsize::new(0);
+        let per_worker = Mutex::new(Vec::with_capacity(workers));
+        self.pool.broadcast(workers - 1, &|| {
+            let mut scratch = QueryScratch::new();
+            let mut local = Vec::with_capacity(tasks / workers + chunk);
+            loop {
+                let begin = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if begin >= tasks {
+                    break;
+                }
+                for i in begin..(begin + chunk).min(tasks) {
+                    let task_start = Instant::now();
+                    let output = task(i, &mut scratch);
+                    local.push((i, (output, task_start.elapsed().as_nanos() as u64)));
+                }
             }
-            for i in begin..(begin + chunk).min(tasks) {
-                let task_start = Instant::now();
-                let output = task(i, &mut scratch);
-                local.push((i, (output, task_start.elapsed().as_nanos() as u64)));
-            }
-        }
-    };
-    let per_worker: Vec<Vec<(usize, (T, u64))>> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut per_worker = vec![work()];
-        per_worker
-            .extend(helpers.into_iter().map(|h| h.join().expect("batch worker thread panicked")));
-        per_worker
-    });
+            per_worker.lock().unwrap_or_else(PoisonError::into_inner).push(local);
+        });
 
-    let mut slots: Vec<Option<(T, u64)>> = (0..tasks).map(|_| None).collect();
-    for (i, outcome) in per_worker.into_iter().flatten() {
-        slots[i] = Some(outcome);
+        let mut slots: Vec<Option<(T, u64)>> = (0..tasks).map(|_| None).collect();
+        let per_worker = per_worker.into_inner().unwrap_or_else(PoisonError::into_inner);
+        for (i, outcome) in per_worker.into_iter().flatten() {
+            slots[i] = Some(outcome);
+        }
+        slots.into_iter().map(|slot| slot.expect("every task was dispatched")).collect()
     }
-    slots.into_iter().map(|slot| slot.expect("every task was dispatched")).collect()
 }
 
 /// Builds the response for per-query `(result, latency)` outcomes in request order.
@@ -425,6 +441,79 @@ mod tests {
         let sampled: u64 = response.per_shard_latency.iter().map(|h| h.count()).sum();
         assert_eq!(sampled, n_queries, "only one shard may run per query");
         assert_eq!(response.batch.total_stats.candidates_verified, n_queries);
+    }
+
+    /// Runs two one-task chunks that wait for each other, so one runs on the caller
+    /// and one on a helper; `on_caller` / `on_helper` then run on the respective
+    /// thread.
+    fn run_on_caller_and_helper(
+        executor: &BatchExecutor,
+        on_caller: impl Fn() + Sync,
+        on_helper: impl Fn() + Sync,
+    ) {
+        assert_eq!(chunk_size(2, 2), 1);
+        let caller = std::thread::current().id();
+        let both_started = std::sync::Barrier::new(2);
+        executor.run(2, |_, _| {
+            both_started.wait();
+            if std::thread::current().id() == caller {
+                on_caller()
+            } else {
+                on_helper()
+            }
+        });
+    }
+
+    #[test]
+    fn a_helper_panic_reaches_the_caller_and_the_pool_keeps_serving() {
+        let executor = BatchExecutor::new(2);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_on_caller_and_helper(&executor, || {}, || panic!("task failed on a helper"))
+        }));
+        let payload = outcome.expect_err("the helper's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"batch worker thread panicked"));
+
+        // The helper survived its task's panic: the next batches (which need it to
+        // meet the caller at the barrier) and real searches still run correctly.
+        run_on_caller_and_helper(&executor, || {}, || {});
+        let (index, queries) = setup(400);
+        let request = BatchRequest::new(queries, SearchParams::exact(5));
+        let sequential = BatchExecutor::new(1).execute(&index, &request);
+        let parallel = executor.execute(&index, &request);
+        for (p, s) in parallel.results.iter().zip(&sequential.results) {
+            assert_eq!(p.neighbors, s.neighbors);
+        }
+    }
+
+    #[test]
+    fn a_caller_panic_waits_for_the_claimed_helper_before_unwinding() {
+        let executor = BatchExecutor::new(2);
+        let helper_finished = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_on_caller_and_helper(
+                &executor,
+                || panic!("task failed on the caller"),
+                || {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    helper_finished.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        }));
+        let payload = outcome.expect_err("the caller's own panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task failed on the caller"));
+        // The borrowed task closure was still in use on the helper when the caller
+        // panicked; the unwind waited for it.
+        assert_eq!(helper_finished.load(Ordering::SeqCst), 1);
+        run_on_caller_and_helper(&executor, || {}, || {});
+    }
+
+    #[test]
+    fn clones_share_one_pool() {
+        let executor = BatchExecutor::new(3);
+        let clone = executor.clone();
+        assert!(Arc::ptr_eq(&executor.pool, &clone.pool));
+        assert_eq!(clone.threads(), 3);
+        assert_eq!(format!("{clone:?}"), "BatchExecutor { threads: 3, .. }");
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!   in request order together with aggregated [`SearchStats`], a
 //!   [`StreamingHistogram`] of per-query latencies (p50/p95/p99), and the
 //!   [`ServePath`] the batch took;
-//! * [`BatchExecutor`] — one scoped-thread work-stealing loop for every execution
-//!   shape (query-parallel, (shard, query) fan-out, live), whose results are
-//!   **bit-identical** to sequential execution regardless of thread count (tasks are
-//!   independent and results are reassembled in request order);
+//! * [`BatchExecutor`] — one work-stealing loop for every execution shape
+//!   (query-parallel, (shard, query) fan-out, live), run by the calling thread plus
+//!   long-lived helper threads; its results are **bit-identical** to sequential
+//!   execution regardless of thread count (tasks are independent and results are
+//!   reassembled in request order);
 //! * [`Engine`] — the registry and the executor behind one façade: `serve` looks an
 //!   entry of any kind up by name, validates the request, picks the execution path,
 //!   executes the batch, and records metrics and traces. `serve_sharded` forces the
@@ -58,6 +59,7 @@
 mod batch;
 mod executor;
 mod metrics;
+mod pool;
 mod registry;
 mod remote;
 mod serve;

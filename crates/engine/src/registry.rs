@@ -11,7 +11,7 @@ use p2h_store::{LoadMode, Store, StoreEntry, StoreError};
 
 /// A reference-counted, immutable index that can be searched from any thread.
 ///
-/// `P2hIndex` requires `Send + Sync`, so a `SharedIndex` can be handed to scoped worker
+/// `P2hIndex` requires `Send + Sync`, so a `SharedIndex` can be handed to worker
 /// threads or cloned into long-lived serving tasks for free.
 pub type SharedIndex = Arc<dyn P2hIndex>;
 

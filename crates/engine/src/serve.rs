@@ -36,8 +36,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine whose executor uses `threads` workers per batch (`0` = one per
-    /// available CPU).
+    /// Creates an engine whose executor uses `threads` long-lived workers (`0` = one
+    /// per available CPU): each batch runs on the calling thread plus up to
+    /// `threads − 1` helper threads, spawned at the first multi-query batch and joined
+    /// when the engine is dropped.
     pub fn new(threads: usize) -> Self {
         Self {
             registry: IndexRegistry::new(),
@@ -48,7 +50,8 @@ impl Engine {
 
     /// Cold-starts an engine from a `p2h-store` snapshot directory: every index named
     /// in the store's manifest is loaded (no rebuilding) and registered, and the
-    /// executor uses `threads` workers per batch (`0` = one per available CPU).
+    /// executor uses `threads` long-lived workers (`0` = one per available CPU), as
+    /// in [`Engine::new`].
     ///
     /// # Errors
     ///
@@ -118,7 +121,8 @@ impl Engine {
     ///   is a ≥4× straggler, in which case fan-out would gate every query on it and
     ///   query-parallel wins. Large batches always go query-parallel (every worker
     ///   stays busy without fan-out/merge overhead);
-    /// * live indexes run through the same executor loop, on the calling thread.
+    /// * live indexes run query-parallel through the same executor loop; each query
+    ///   holds the live tier's read lock for its own search only.
     ///
     /// Answers are **bit-identical** whichever path is taken.
     ///

@@ -2,14 +2,14 @@
 //! with registration and removal interleaved mid-flight.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
-use p2h_core::{LinearScan, P2hIndex as _, PointSet, Scalar, SearchParams};
+use p2h_core::{LinearScan, P2hIndex as _, PointSet, Scalar, SearchParams, SearchResult};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_engine::{
-    BatchRequest, BcTreeBuilder, Engine, Entry, IndexRegistry, LiveIndex, Partitioner,
-    ShardIndexKind, ShardedIndexBuilder, Store,
+    BatchExecutor, BatchRequest, BcTreeBuilder, Engine, Entry, IndexRegistry, LiveIndex,
+    Partitioner, ServePath, ShardIndexKind, ShardedIndexBuilder, Store,
 };
 
 #[test]
@@ -144,5 +144,103 @@ fn registry_readers_and_writers_of_every_kind_never_deadlock() {
     }
     reader.join().unwrap();
     writer.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn result_bits(results: &[SearchResult]) -> Vec<Vec<(usize, u32)>> {
+    results
+        .iter()
+        .map(|r| r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect())
+        .collect()
+}
+
+/// Callers released together by a barrier share one engine's two-worker executor —
+/// its one helper thread — across plain, sharded and live entries. Every caller's
+/// answers are bit-identical to a one-worker executor (sequential search for the live
+/// entry), whichever thread ran which task.
+#[test]
+fn callers_starting_together_share_the_pool_bit_identically() {
+    let points = SyntheticDataset::new(
+        "engine-pool-callers",
+        2_000,
+        10,
+        DataDistribution::GaussianClusters { clusters: 4, std_dev: 1.0 },
+        31,
+    )
+    .generate()
+    .unwrap();
+    let queries = generate_queries(&points, 24, QueryDistribution::DataDifference, 9).unwrap();
+    let request = BatchRequest::new(queries, SearchParams::exact(7))
+        .with_override(4, SearchParams::approximate(7, 300));
+
+    let dir = std::env::temp_dir().join(format!("p2h-engine-pool-callers-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = Store::create(&dir).unwrap();
+    let live = LiveIndex::create(&store, "live", points.dim()).unwrap();
+    let rows: Vec<Vec<Scalar>> =
+        (0..points.len()).map(|i| points.point(i)[..points.dim() - 1].to_vec()).collect();
+    live.insert_batch(&rows[..1_500]).unwrap();
+    live.compact().unwrap();
+    live.insert_batch(&rows[1_500..]).unwrap();
+    for id in (0..points.len() as u32).step_by(9) {
+        live.delete(id).unwrap();
+    }
+
+    let engine = Engine::new(2);
+    engine.registry().register("bc", BcTreeBuilder::new(32).build(&points).unwrap());
+    engine.registry().register_sharded(
+        "sharded",
+        ShardedIndexBuilder::new(Partitioner::Hash { shards: 3 }, ShardIndexKind::LinearScan)
+            .build(&points)
+            .unwrap(),
+    );
+    let live = engine.register_live("live", live);
+
+    let sequential = BatchExecutor::new(1);
+    let plain_reference = match engine.registry().entry("bc") {
+        Some(Entry::Plain(index)) => {
+            result_bits(&sequential.execute(index.as_ref(), &request).results)
+        }
+        _ => panic!("bc is a plain entry"),
+    };
+    let sharded_reference = match engine.registry().entry("sharded") {
+        Some(Entry::Sharded(index)) => {
+            result_bits(&sequential.execute(index.as_ref(), &request).results)
+        }
+        _ => panic!("sharded is a sharded entry"),
+    };
+    let live_reference: Vec<SearchResult> = request
+        .queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| live.search(q, request.params_for(i)).unwrap())
+        .collect();
+    let live_reference = result_bits(&live_reference);
+
+    let callers = 6;
+    let start = Barrier::new(callers);
+    std::thread::scope(|scope| {
+        for caller in 0..callers {
+            let (engine, request, start) = (&engine, &request, &start);
+            let (plain_reference, sharded_reference, live_reference) =
+                (&plain_reference, &sharded_reference, &live_reference);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..5 {
+                    let plain = engine.serve("bc", request).unwrap();
+                    assert_eq!(&result_bits(&plain.results), plain_reference, "{caller}/{round}");
+                    let sharded = engine.serve("sharded", request).unwrap();
+                    assert_eq!(
+                        &result_bits(&sharded.results),
+                        sharded_reference,
+                        "{caller}/{round}"
+                    );
+                    let live = engine.serve("live", request).unwrap();
+                    assert_eq!(live.path, ServePath::Live);
+                    assert_eq!(&result_bits(&live.results), live_reference, "{caller}/{round}");
+                }
+            });
+        }
+    });
     std::fs::remove_dir_all(&dir).ok();
 }

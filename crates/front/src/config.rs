@@ -23,7 +23,8 @@ pub struct FrontConfig {
     /// arriving at a full queue is shed immediately with a typed `Overloaded`
     /// error — never silently dropped, never queued unbounded.
     pub queue_depth: usize,
-    /// Engine executor workers per batch (`0` = one per available CPU).
+    /// Engine executor workers, the batcher thread plus long-lived helpers (`0` =
+    /// one per available CPU).
     pub threads: usize,
 }
 

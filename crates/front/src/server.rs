@@ -77,7 +77,8 @@ struct ReloadSource {
 /// State shared by every thread of one front-end server.
 struct Shared {
     /// The serving engine. Reload swaps the `Arc` under the write lock; in-flight
-    /// batches keep serving their clone — there is no torn state to observe.
+    /// batches keep serving their clone — there is no torn state to observe — and
+    /// whichever holder drops the previous engine last joins its worker threads.
     engine: RwLock<Arc<Engine>>,
     reload: Option<ReloadSource>,
     queue: CoalesceQueue,
@@ -686,7 +687,13 @@ fn spawn_reload(loop_id: usize, conn_id: u64, request_id: u64, shared: &Arc<Shar
             let message = match outcome {
                 Ok(fresh) => {
                     let entries = fresh.registry().len() as u32;
-                    *shared.engine.write().expect("engine lock poisoned") = Arc::new(fresh);
+                    let previous = std::mem::replace(
+                        &mut *shared.engine.write().expect("engine lock poisoned"),
+                        Arc::new(fresh),
+                    );
+                    // Dropped outside the lock: if no batch still holds the previous
+                    // engine, dropping it joins its executor's worker threads.
+                    drop(previous);
                     shared.metrics.reloads.inc();
                     Message::ReloadOk { id: request_id, entries }
                 }
