@@ -12,6 +12,10 @@
 //! * `simd-blk`    — dispatched `kernels::abs_dot_block` over the whole strip (the
 //!   kernel behind every blocked leaf scan).
 //!
+//! A second table gives ns per call of the scalar pruning bounds (Ball-Tree's node
+//! ball bound, BC-Tree's point ball and cone bounds) and of NH/FH's quadratic
+//! transform of one 128-d point at λ = d and λ = 8d.
+//!
 //! Usage: `kernel_bench [--rows N] [--iters N]` — `--rows` is the strip (leaf) size,
 //! default 100 (the paper's reference `N0`); `--iters` scales the measurement loop.
 //! Results are recorded in `EXPERIMENTS.md`.
@@ -19,8 +23,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use p2h_balltree::bound::node_ball_bound;
+use p2h_bctree::bounds::{point_ball_bound, point_cone_bound};
 use p2h_core::kernels;
 use p2h_core::Scalar;
+use p2h_hash::QuadraticTransform;
 
 /// Deterministic pseudo-random data; no RNG dependency needed for a microbench.
 fn filled(len: usize, seed: u64) -> Vec<Scalar> {
@@ -122,4 +129,26 @@ fn main() {
         "\nblk vs scalar/pt = per-point scalar abs_dot time over blocked dispatched time:\n\
          the speedup a blocked leaf scan gets over the seed's per-point scalar loop."
     );
+
+    println!("\n| case | ns/call |");
+    println!("|---|---|");
+    // A bound is a few flops, so it gets as many calls as a strip row gets points.
+    let calls = iters * rows;
+    let node_ball =
+        measure(1, calls, || node_ball_bound(black_box(3.7), black_box(1.2), black_box(0.8)));
+    println!("| node_ball_bound | {node_ball:.2} |");
+    let point_ball =
+        measure(1, calls, || point_ball_bound(black_box(3.7), black_box(1.2), black_box(0.4)));
+    println!("| point_ball_bound | {point_ball:.2} |");
+    let point_cone = measure(1, calls, || {
+        point_cone_bound(black_box(1.1), black_box(0.6), black_box(2.0), black_box(0.9))
+    });
+    println!("| point_cone_bound | {point_cone:.2} |");
+    let dim = 128;
+    let x = filled(dim, 2);
+    for factor in [1usize, 8] {
+        let transform = QuadraticTransform::sampled(dim, factor * dim, 3);
+        let ns = measure(1, iters, || transform.transform_data(black_box(&x))[0]);
+        println!("| quadratic_transform d{dim} λ={factor}d | {ns:.2} |");
+    }
 }

@@ -1,11 +1,9 @@
 //! Per-query and per-method evaluation records.
 
-use serde::{Deserialize, Serialize};
-
 use p2h_core::SearchStats;
 
 /// The outcome of running one query against one index configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryEvaluation {
     /// Recall against the exact ground truth (`|returned ∩ exact| / k`).
     pub recall: f64,
@@ -16,7 +14,7 @@ pub struct QueryEvaluation {
 }
 
 /// Aggregated evaluation of one index configuration over a query batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodEvaluation {
     /// Method label (e.g. `"BC-Tree"`, `"NH (λ=8d)"`).
     pub label: String,
@@ -107,14 +105,5 @@ mod tests {
         assert_eq!(eval.mean_recall, 0.0);
         assert_eq!(eval.avg_query_time_ms, 0.0);
         assert_eq!(eval.avg_candidates(), 0.0);
-    }
-
-    #[test]
-    fn serializes_to_json() {
-        let eval = MethodEvaluation::from_queries("json", 1, None, vec![q(1.0, 1_000, 1)]);
-        let text = serde_json::to_string(&eval).unwrap();
-        assert!(text.contains("\"label\":\"json\""));
-        let back: MethodEvaluation = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, eval);
     }
 }

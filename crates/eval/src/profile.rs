@@ -1,7 +1,5 @@
 //! Phase-level time profiling (Figure 10 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use p2h_core::{HyperplaneQuery, P2hIndex, SearchParams};
 
 /// Average per-query time, split into the four phases of Figure 10.
@@ -11,7 +9,7 @@ use p2h_core::{HyperplaneQuery, P2hIndex, SearchParams};
 /// * `bounds_ms` — node-level and point-level lower-bound computation (zero for the
 ///   hashing methods),
 /// * `other_ms` — traversal bookkeeping, heap maintenance, result assembly.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimeProfile {
     /// Average candidate-verification time per query (ms).
     pub verification_ms: f64,

@@ -4,12 +4,10 @@ use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
 use p2h_core::{Error, Result};
 
 /// One point of a query-time/recall curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Mean recall in percent (x-axis of the paper's figures).
     pub recall_pct: f64,
@@ -20,7 +18,7 @@ pub struct CurvePoint {
 }
 
 /// A labelled query-time/recall curve (one line of a figure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Curve {
     /// Method label (e.g. `"BC-Tree"`).
     pub label: String,
@@ -50,7 +48,7 @@ impl Curve {
 }
 
 /// One row of Table III: indexing time and index size for one method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexingReport {
     /// Method label.
     pub label: String,
@@ -161,14 +159,5 @@ mod tests {
         assert_eq!(lines[0], "| Data Set | Time |");
         assert_eq!(lines[1], "|---|---|");
         assert!(lines[2].contains("Sift"));
-    }
-
-    #[test]
-    fn curves_serialize() {
-        let mut curve = Curve::new("FH");
-        curve.push(50.0, 1.0, 10);
-        let text = serde_json::to_string(&curve).unwrap();
-        let back: Curve = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, curve);
     }
 }

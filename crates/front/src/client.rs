@@ -10,12 +10,23 @@ use std::time::Duration;
 
 use p2h_core::{HyperplaneQuery, SearchParams, SearchResult};
 use p2h_net::wire::{frame_bytes, frame_from_buf};
-use p2h_net::{ErrorCode, Message, NetError, NetResult, WireQuery, PROTOCOL_VERSION};
+use p2h_net::{
+    BackoffPolicy, ErrorCode, Message, NetError, NetResult, WireQuery, PROTOCOL_VERSION,
+};
 
 /// How long a blocking read waits before the client declares the server stuck.
 /// Generous — it only fires when a fault swallowed a reply, and the retry layer
 /// above turns it into a reconnect rather than a hang.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// [`RetryingClient`]'s sleep before each retry: 5 ms, doubling per consecutive
+/// failed attempt, capped at 200 ms, no jitter.
+const BACKOFF: BackoffPolicy = BackoffPolicy {
+    base: Duration::from_millis(5),
+    cap: Duration::from_millis(200),
+    jitter: Duration::ZERO,
+    seed: 0,
+};
 
 /// The outcome of one front request: the result, or the typed error the server
 /// shed it with.
@@ -225,14 +236,12 @@ pub struct RetryingClient {
     /// Attempts per request before giving up (connects and retryable errors each
     /// consume one).
     pub max_attempts: usize,
-    /// Backoff after an `Overloaded` shed; doubles per consecutive shed.
-    pub backoff: Duration,
 }
 
 impl RetryingClient {
     /// A retrying client for `addr`. No connection is made until the first call.
     pub fn new(addr: impl Into<String>) -> Self {
-        Self { addr: addr.into(), inner: None, max_attempts: 12, backoff: Duration::from_millis(5) }
+        Self { addr: addr.into(), inner: None, max_attempts: 12 }
     }
 
     /// Serves one query, retrying transport faults (reconnect) and `Overloaded`
@@ -249,37 +258,24 @@ impl RetryingClient {
         params: &SearchParams,
         deadline_ms: u64,
     ) -> NetResult<FrontOutcome> {
-        let mut backoff = self.backoff;
         let mut last_err: Option<NetError> = None;
-        for _ in 0..self.max_attempts.max(1) {
-            let client = match self.connected() {
-                Ok(client) => client,
-                Err(e) => {
-                    last_err = Some(e);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(200));
-                    continue;
-                }
-            };
-            match client.query(index, query, params, deadline_ms) {
-                Ok(Err((ErrorCode::Overloaded, _))) => {
+        for attempt in 0..self.max_attempts.max(1) {
+            match self.connected() {
+                Err(e) => last_err = Some(e),
+                Ok(client) => match client.query(index, query, params, deadline_ms) {
                     // Typed shed: the server is alive but full. Back off and retry.
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(200));
-                }
-                Ok(outcome) => return Ok(outcome),
-                Err(NetError::Remote { code, message }) => {
-                    return Err(NetError::Remote { code, message })
-                }
-                Err(transport) => {
-                    // Anything transport-shaped (disconnect, corrupt frame, timeout):
-                    // drop the connection and dial fresh.
-                    self.inner = None;
-                    last_err = Some(transport);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(200));
-                }
+                    Ok(Err((ErrorCode::Overloaded, _))) => {}
+                    Ok(outcome) => return Ok(outcome),
+                    Err(remote @ NetError::Remote { .. }) => return Err(remote),
+                    Err(transport) => {
+                        // Anything transport-shaped (disconnect, corrupt frame, timeout):
+                        // drop the connection and dial fresh.
+                        self.inner = None;
+                        last_err = Some(transport);
+                    }
+                },
             }
+            std::thread::sleep(BACKOFF.delay(0, attempt as u32));
         }
         Err(last_err.unwrap_or(NetError::Disconnected))
     }
@@ -289,5 +285,39 @@ impl RetryingClient {
             self.inner = Some(FrontClient::connect(&self.addr)?);
         }
         Ok(self.inner.as_mut().expect("just connected"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_doubles_from_5ms_to_a_200ms_cap() {
+        let schedule: Vec<u64> = (0..8).map(|a| BACKOFF.delay(0, a).as_millis() as u64).collect();
+        assert_eq!(schedule, [5, 10, 20, 40, 80, 160, 200, 200]);
+    }
+
+    #[test]
+    fn retrying_client_backs_off_then_returns_the_last_transport_error() {
+        // A port that was just bound and released: every dial is refused.
+        let addr = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("addr").to_string()
+        };
+        let mut client = RetryingClient::new(addr.clone());
+        client.max_attempts = 4;
+        let query = HyperplaneQuery::from_normal_and_bias(&[1.0, 0.0], 0.5).expect("query");
+        let started = std::time::Instant::now();
+        let outcome = client.query("idx", &query, &SearchParams::exact(1), 0);
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(&outcome, Err(NetError::Refused { addr: refused }) if *refused == addr),
+            "{outcome:?}"
+        );
+        // Four refused dials are separated by the first three backoff sleeps.
+        let between: Duration = (0..3).map(|a| BACKOFF.delay(0, a)).sum();
+        assert_eq!(between, Duration::from_millis(5 + 10 + 20));
+        assert!(elapsed >= between, "gave up after {elapsed:?}");
     }
 }

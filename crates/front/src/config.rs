@@ -41,25 +41,6 @@ impl Default for FrontConfig {
 }
 
 impl FrontConfig {
-    /// Reads overrides from the environment on top of [`Default`]:
-    /// `P2H_FRONT_LOOPS`, `P2H_FRONT_MAX_BATCH`, `P2H_FRONT_MAX_DELAY_US`,
-    /// `P2H_FRONT_QUEUE_DEPTH`, `P2H_FRONT_THREADS`. Unparsable values keep the
-    /// default — a serving process should come up, not die on a typo'd knob.
-    pub fn from_env() -> Self {
-        let get = |name: &str| std::env::var(name).ok()?.trim().parse::<u64>().ok();
-        let defaults = Self::default();
-        Self {
-            loops: get("P2H_FRONT_LOOPS").map_or(defaults.loops, |v| v as usize),
-            max_batch: get("P2H_FRONT_MAX_BATCH")
-                .map_or(defaults.max_batch, |v| (v as usize).max(1)),
-            max_delay: get("P2H_FRONT_MAX_DELAY_US")
-                .map_or(defaults.max_delay, Duration::from_micros),
-            queue_depth: get("P2H_FRONT_QUEUE_DEPTH")
-                .map_or(defaults.queue_depth, |v| (v as usize).max(1)),
-            threads: get("P2H_FRONT_THREADS").map_or(defaults.threads, |v| v as usize),
-        }
-    }
-
     /// The effective event-loop count (resolves `0` to the CPU count, capped at 8).
     pub fn effective_loops(&self) -> usize {
         if self.loops > 0 {

@@ -157,18 +157,6 @@ impl ProjectionTables {
         &self.ids
     }
 
-    /// The sorted projection values of table `t`.
-    #[inline]
-    pub fn table_values(&self, t: usize) -> &[Scalar] {
-        &self.values[t * self.len..(t + 1) * self.len]
-    }
-
-    /// The point ids of table `t`, aligned with [`ProjectionTables::table_values`].
-    #[inline]
-    pub fn table_ids(&self, t: usize) -> &[u32] {
-        &self.ids[t * self.len..(t + 1) * self.len]
-    }
-
     /// Number of indexed vectors.
     pub fn len(&self) -> usize {
         self.len

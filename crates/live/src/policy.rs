@@ -50,39 +50,6 @@ impl Default for CompactionPolicy {
 }
 
 impl CompactionPolicy {
-    /// Reads the policy from the environment, falling back to [`Default`] per field:
-    ///
-    /// * `P2H_LIVE_COMPACT_POINTS` — size threshold in memtable rows (`0` disables);
-    /// * `P2H_LIVE_COMPACT_INTERVAL_MS` — time threshold in milliseconds (`0`
-    ///   disables);
-    /// * `P2H_LIVE_COMPACT_POLL_MS` — poll cadence in milliseconds (clamped to at
-    ///   least 1 ms so a zero cannot busy-spin a core).
-    ///
-    /// Unparsable values fall back to the default rather than erroring: a serving
-    /// process should come up with a sane policy, not die on a typo'd tuning knob.
-    pub fn from_env() -> Self {
-        Self::from_values(
-            std::env::var("P2H_LIVE_COMPACT_POINTS").ok().as_deref(),
-            std::env::var("P2H_LIVE_COMPACT_INTERVAL_MS").ok().as_deref(),
-            std::env::var("P2H_LIVE_COMPACT_POLL_MS").ok().as_deref(),
-        )
-    }
-
-    /// [`CompactionPolicy::from_env`] on explicit strings (testable without touching
-    /// process-global environment).
-    fn from_values(points: Option<&str>, interval_ms: Option<&str>, poll_ms: Option<&str>) -> Self {
-        let defaults = Self::default();
-        let parse = |value: Option<&str>| value.and_then(|v| v.trim().parse::<u64>().ok());
-        Self {
-            max_memtable_points: parse(points).map_or(defaults.max_memtable_points, |v| v as usize),
-            max_interval: parse(interval_ms).map_or(defaults.max_interval, Duration::from_millis),
-            poll_interval: Duration::from_millis(parse(poll_ms).map_or(
-                defaults.poll_interval.as_millis() as u64,
-                |v| v.max(1), // a zero poll interval must not busy-spin a core
-            )),
-        }
-    }
-
     /// Spawns the policy thread over `index`. The returned [`Compactor`] stops the
     /// loop when dropped; the `Arc` keeps the index alive for the thread's lifetime,
     /// so shutting down the compactor before dropping the index is not required
@@ -186,25 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_falls_back_per_field() {
-        let policy = CompactionPolicy::from_values(Some("128"), Some("5000"), Some("50"));
-        assert_eq!(policy.max_memtable_points, 128);
-        assert_eq!(policy.max_interval, Duration::from_millis(5000));
-        assert_eq!(policy.poll_interval, Duration::from_millis(50));
-
-        let defaults = CompactionPolicy::default();
-        assert_eq!(CompactionPolicy::from_values(None, None, None), defaults);
-        // Typos fall back instead of erroring; zero poll cannot busy-spin.
-        let garbled = CompactionPolicy::from_values(Some("lots"), Some(""), Some("0"));
-        assert_eq!(garbled.max_memtable_points, defaults.max_memtable_points);
-        assert_eq!(garbled.max_interval, defaults.max_interval);
-        assert_eq!(garbled.poll_interval, Duration::from_millis(1));
-        // Explicit zeros disable the triggers.
-        let off = CompactionPolicy::from_values(Some("0"), Some("0"), None);
-        assert_eq!(off.due(1_000_000, Duration::from_secs(3600)), None);
-    }
-
-    #[test]
     fn due_prefers_size_and_skips_empty_memtables() {
         let policy = CompactionPolicy {
             max_memtable_points: 10,
@@ -216,6 +164,10 @@ mod tests {
         assert_eq!(policy.due(9, Duration::from_millis(500)), None);
         // An idle index never time-compacts: there is nothing to fold.
         assert_eq!(policy.due(0, Duration::from_secs(2)), None);
+        // Explicit zeros disable both triggers.
+        let off =
+            CompactionPolicy { max_memtable_points: 0, max_interval: Duration::ZERO, ..policy };
+        assert_eq!(off.due(1_000_000, Duration::from_secs(3600)), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use p2h_obs::{global, Counter};
+use p2h_obs::{global, Counter, MetricsRegistry};
 
 /// The cached `p2h_net_*` instrument handles.
 pub struct NetMetrics {
@@ -45,8 +45,11 @@ pub struct NetMetrics {
 /// Returns the process-wide net metric handles, registering them on first use.
 pub fn net_metrics() -> &'static NetMetrics {
     static METRICS: OnceLock<NetMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = global();
+    METRICS.get_or_init(|| NetMetrics::new(global()))
+}
+
+impl NetMetrics {
+    fn new(reg: &MetricsRegistry) -> Self {
         NetMetrics {
             retries: reg.counter(
                 "p2h_net_retries_total",
@@ -114,28 +117,36 @@ pub fn net_metrics() -> &'static NetMetrics {
                 &[],
             ),
         }
-    })
+    }
+
+    /// The sent-bytes counter of the role owning `site`. Sites are named
+    /// `client.*` / `server.*`; test-only sites fall through to the client counter.
+    fn bytes_sent(&self, site: &str) -> &Counter {
+        if site.starts_with("server.") {
+            &self.server_bytes_sent
+        } else {
+            &self.client_bytes_sent
+        }
+    }
+
+    /// The received-bytes counter of the role owning `site`.
+    fn bytes_recv(&self, site: &str) -> &Counter {
+        if site.starts_with("server.") {
+            &self.server_bytes_recv
+        } else {
+            &self.client_bytes_recv
+        }
+    }
 }
 
-/// Routes frame bytes written at `site` to the right role counter. Sites are named
-/// `client.*` / `server.*`; test-only sites fall through to the client counter.
+/// Routes frame bytes written at `site` to the right role counter.
 pub(crate) fn add_bytes_sent(site: &str, bytes: u64) {
-    let m = net_metrics();
-    if site.starts_with("server.") {
-        m.server_bytes_sent.add(bytes);
-    } else {
-        m.client_bytes_sent.add(bytes);
-    }
+    net_metrics().bytes_sent(site).add(bytes);
 }
 
 /// Routes frame bytes read at `site` to the right role counter.
 pub(crate) fn add_bytes_recv(site: &str, bytes: u64) {
-    let m = net_metrics();
-    if site.starts_with("server.") {
-        m.server_bytes_recv.add(bytes);
-    } else {
-        m.client_bytes_recv.add(bytes);
-    }
+    net_metrics().bytes_recv(site).add(bytes);
 }
 
 #[cfg(test)]
@@ -144,17 +155,19 @@ mod tests {
 
     #[test]
     fn bytes_split_by_role() {
-        let snapshot_of = |labels: &[(&str, &str)]| {
-            p2h_obs::global()
-                .snapshot()
-                .series("p2h_net_bytes_sent_total", labels)
-                .map_or(0, |s| s.value.scalar())
+        // A private registry: other tests in this binary move real frames and bump
+        // the global counters concurrently.
+        let reg = MetricsRegistry::new();
+        let m = NetMetrics::new(&reg);
+        m.bytes_sent("client.send").add(10);
+        m.bytes_sent("server.send").add(3);
+        m.bytes_recv("server.recv").add(5);
+        let series = |name: &str, role: &str| {
+            reg.snapshot().series(name, &[("role", role)]).map_or(0, |s| s.value.scalar())
         };
-        let client_before = snapshot_of(&[("role", "client")]);
-        let server_before = snapshot_of(&[("role", "server")]);
-        add_bytes_sent("client.send", 10);
-        add_bytes_sent("server.send", 3);
-        assert_eq!(snapshot_of(&[("role", "client")]), client_before + 10);
-        assert_eq!(snapshot_of(&[("role", "server")]), server_before + 3);
+        assert_eq!(series("p2h_net_bytes_sent_total", "client"), 10);
+        assert_eq!(series("p2h_net_bytes_sent_total", "server"), 3);
+        assert_eq!(series("p2h_net_bytes_recv_total", "server"), 5);
+        assert_eq!(series("p2h_net_bytes_recv_total", "client"), 0);
     }
 }

@@ -16,8 +16,9 @@
 //! is padded to a multiple of 8, **every section payload starts on an 8-byte boundary
 //! of the file**. That is the property the zero-copy loader relies on: a memory-mapped
 //! snapshot can serve its `f32`/`u32` arrays as typed slices directly (mmap bases are
-//! page-aligned, so file alignment is absolute alignment). Format version 1 (12-byte
-//! header, no padding) is still read — via the copying path only.
+//! page-aligned, so file alignment is absolute alignment). Any other version,
+//! including the unaligned version 1, is rejected with
+//! [`StoreError::UnsupportedVersion`].
 //!
 //! All integers are little-endian. Every section payload is covered by its CRC32, so a
 //! flipped bit anywhere in the tree arrays is caught at load time instead of silently
@@ -42,19 +43,13 @@ pub const MAGIC: [u8; 4] = *b"P2HS";
 /// The current container format version (aligned sections, zero-copy loadable).
 pub const FORMAT_VERSION: u16 = 2;
 
-/// The legacy container version (unaligned; still readable via the copying path).
-pub const FORMAT_VERSION_V1: u16 = 1;
-
-/// Byte length of the current (v2) file header.
+/// Byte length of the file header.
 pub const HEADER_LEN: usize = 16;
 
-/// Byte length of the legacy (v1) file header.
-pub const HEADER_LEN_V1: usize = 12;
-
-/// Byte length of a section header (both versions).
+/// Byte length of a section header.
 pub const SECTION_HEADER_LEN: usize = 16;
 
-/// Alignment every v2 section payload is padded to.
+/// Alignment every section payload is padded to.
 pub const SECTION_ALIGN: usize = 8;
 
 /// Which index type a snapshot holds, stored as a one-byte tag in the header.
@@ -348,34 +343,17 @@ pub(crate) fn io_error(path: &Path, err: std::io::Error) -> StoreError {
 /// Assembles a snapshot byte buffer: fixed header followed by checksummed sections.
 ///
 /// Writes the current format (v2: 16-byte header, payloads zero-padded to 8 bytes so
-/// every payload starts 8-aligned). [`SnapshotWriter::with_version`] can produce a
-/// legacy v1 container for compatibility tooling and tests.
+/// every payload starts 8-aligned).
 #[derive(Debug)]
 pub struct SnapshotWriter {
     kind: IndexKind,
-    version: u16,
     sections: Vec<([u8; 4], Vec<u8>)>,
 }
 
 impl SnapshotWriter {
     /// Starts a snapshot of the given kind in the current format version.
     pub fn new(kind: IndexKind) -> Self {
-        Self::with_version(kind, FORMAT_VERSION)
-    }
-
-    /// Starts a snapshot in an explicit container version (v1 or v2). Section payload
-    /// *contents* are the caller's responsibility — index kinds whose payload layout
-    /// changed between versions (the projection tables) must write the matching one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `version` is not a known container version.
-    pub fn with_version(kind: IndexKind, version: u16) -> Self {
-        assert!(
-            version == FORMAT_VERSION || version == FORMAT_VERSION_V1,
-            "unknown container version {version}"
-        );
-        Self { kind, version, sections: Vec::new() }
+        Self { kind, sections: Vec::new() }
     }
 
     /// Opens a new section and returns its payload buffer to append into. The length
@@ -392,24 +370,20 @@ impl SnapshotWriter {
             HEADER_LEN + self.sections.len() * (SECTION_HEADER_LEN + SECTION_ALIGN) + payload_total,
         );
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.push(self.kind.tag());
         out.push(0); // reserved
         out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        if self.version >= 2 {
-            out.extend_from_slice(&[0u8; 4]); // reserved; pads the header to 16 bytes
-        }
+        out.extend_from_slice(&[0u8; 4]); // reserved; pads the header to 16 bytes
         for (tag, payload) in &self.sections {
             out.extend_from_slice(tag);
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             out.extend_from_slice(&crc32(payload).to_le_bytes());
             out.extend_from_slice(payload);
-            if self.version >= 2 {
-                // Zero padding keeps the next section header (and therefore the next
-                // payload) on an 8-byte boundary; the CRC covers the payload only.
-                let pad = out.len().next_multiple_of(SECTION_ALIGN) - out.len();
-                out.extend(std::iter::repeat_n(0u8, pad));
-            }
+            // Zero padding keeps the next section header (and therefore the next
+            // payload) on an 8-byte boundary; the CRC covers the payload only.
+            let pad = out.len().next_multiple_of(SECTION_ALIGN) - out.len();
+            out.extend(std::iter::repeat_n(0u8, pad));
         }
         out
     }
@@ -462,8 +436,7 @@ pub mod wire {
 pub enum SnapshotSource<'a> {
     /// Decode by copying every array out of this buffer.
     Bytes(&'a [u8]),
-    /// Decode zero-copy: arrays become [`VecBuf`] windows into the mapped region
-    /// (requires a v2 container; v1 inputs silently demote to the copying path).
+    /// Decode zero-copy: arrays become [`VecBuf`] windows into the mapped region.
     Mapped(&'a Arc<MmapRegion>),
 }
 
@@ -475,24 +448,13 @@ impl<'a> SnapshotSource<'a> {
             SnapshotSource::Mapped(region) => region.as_bytes(),
         }
     }
-
-    /// Demotes a mapped source to the copying path for container versions that cannot
-    /// guarantee payload alignment (v1). Bit-identical either way — only the backing
-    /// of the restored arrays differs.
-    pub(crate) fn for_version(self, version: u16) -> Self {
-        match self {
-            SnapshotSource::Mapped(_) if version < 2 => SnapshotSource::Bytes(self.bytes()),
-            other => other,
-        }
-    }
 }
 
 /// Parses the header of a snapshot buffer and walks its sections in order.
 ///
-/// Reads both container versions: v2 (the current, aligned format) and the legacy v1.
-/// For v2, the reader consumes and verifies the zero padding after every payload, so a
-/// well-formed stream keeps every payload 8-aligned; crafted nonzero padding is a
-/// typed [`StoreError::Misaligned`].
+/// Reads the current container version only. The reader consumes and verifies the
+/// zero padding after every payload, so a well-formed stream keeps every payload
+/// 8-aligned; crafted nonzero padding is a typed [`StoreError::Misaligned`].
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
@@ -500,16 +462,15 @@ pub struct SnapshotReader<'a> {
     sections_left: u32,
     /// Index kind declared in the header.
     pub kind: IndexKind,
-    /// Container version declared in the header ([`FORMAT_VERSION`] or
-    /// [`FORMAT_VERSION_V1`]).
-    pub version: u16,
 }
 
 impl<'a> SnapshotReader<'a> {
     /// Parses the fixed header. Fails on short input, wrong magic, an unsupported
     /// version, or an unknown kind tag.
     pub fn new(buf: &'a [u8]) -> StoreResult<Self> {
-        if buf.len() < HEADER_LEN_V1 {
+        // Magic and version are checked as soon as they are present, so a file of
+        // another version is named as such even if it is shorter than this header.
+        if buf.len() < 6 {
             return Err(StoreError::Truncated { context: "file header" });
         }
         let mut magic = [0u8; 4];
@@ -518,23 +479,22 @@ impl<'a> SnapshotReader<'a> {
             return Err(StoreError::BadMagic { found: magic });
         }
         let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != FORMAT_VERSION && version != FORMAT_VERSION_V1 {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        let header_len = if version >= 2 { HEADER_LEN } else { HEADER_LEN_V1 };
-        if buf.len() < header_len {
+        if buf.len() < HEADER_LEN {
             return Err(StoreError::Truncated { context: "file header" });
         }
         let kind = IndexKind::from_tag(buf[6]).ok_or(StoreError::UnknownKind(buf[6]))?;
         let sections_left = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        Ok(Self { buf, pos: header_len, sections_left, kind, version })
+        Ok(Self { buf, pos: HEADER_LEN, sections_left, kind })
     }
 
-    /// Reads the next section, which must carry `tag`, verifying its checksum (and,
-    /// for v2, consuming and verifying the payload's zero padding).
+    /// Reads the next section, which must carry `tag`, verifying its checksum and
+    /// consuming and verifying the payload's zero padding.
     pub fn section(&mut self, tag: [u8; 4]) -> StoreResult<Payload<'a>> {
         if self.sections_left == 0 {
             return Err(StoreError::Truncated { context: "section count exhausted" });
@@ -568,16 +528,14 @@ impl<'a> SnapshotReader<'a> {
             });
         }
         self.pos = start + len;
-        if self.version >= 2 {
-            let pad = self.pos.next_multiple_of(SECTION_ALIGN) - self.pos;
-            if self.buf.len() - self.pos < pad {
-                return Err(StoreError::Truncated { context: "section padding" });
-            }
-            if self.buf[self.pos..self.pos + pad].iter().any(|&b| b != 0) {
-                return Err(StoreError::Misaligned { section: tag, offset: self.pos });
-            }
-            self.pos += pad;
+        let pad = self.pos.next_multiple_of(SECTION_ALIGN) - self.pos;
+        if self.buf.len() - self.pos < pad {
+            return Err(StoreError::Truncated { context: "section padding" });
         }
+        if self.buf[self.pos..self.pos + pad].iter().any(|&b| b != 0) {
+            return Err(StoreError::Misaligned { section: tag, offset: self.pos });
+        }
+        self.pos += pad;
         self.sections_left -= 1;
         Ok(Payload { tag, data: payload, file_offset: start, pos: 0 })
     }
@@ -754,7 +712,6 @@ mod tests {
 
         let mut reader = SnapshotReader::new(&bytes).unwrap();
         assert_eq!(reader.kind, IndexKind::BallTree);
-        assert_eq!(reader.version, FORMAT_VERSION);
         let mut meta = reader.section(*b"META").unwrap();
         assert_eq!(meta.get_u64("42").unwrap(), 42);
         assert_eq!(meta.get_u32("7").unwrap(), 7);

@@ -71,8 +71,7 @@ pub mod wal;
 
 pub use crc32::crc32;
 pub use format::{
-    IndexKind, SnapshotSource, StoreError, StoreResult, FORMAT_VERSION, FORMAT_VERSION_V1, MAGIC,
-    SECTION_ALIGN,
+    IndexKind, SnapshotSource, StoreError, StoreResult, FORMAT_VERSION, MAGIC, SECTION_ALIGN,
 };
 pub use live::{live_base_file, live_ids_file, live_wal_file, LiveIdsSnapshot};
 pub use mmap::{LoadMode, MmapRegion};

@@ -70,7 +70,6 @@ impl LiveIdsSnapshot {
     /// [`StoreError`]s, never panics or unbounded allocations.
     pub fn decode_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
         let mut reader = SnapshotReader::new(src.bytes())?;
-        let src = src.for_version(reader.version);
         if reader.kind != IndexKind::LiveIds {
             return Err(StoreError::KindMismatch {
                 expected: IndexKind::LiveIds,

@@ -26,7 +26,7 @@ use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use p2h_obs::Counter;
+use p2h_obs::{Counter, MetricsRegistry};
 
 use crate::mmap::LoadMode;
 
@@ -48,8 +48,11 @@ pub(crate) struct StoreMetrics {
 
 fn store_metrics() -> &'static StoreMetrics {
     static METRICS: OnceLock<StoreMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = p2h_obs::global();
+    METRICS.get_or_init(|| StoreMetrics::new(p2h_obs::global()))
+}
+
+impl StoreMetrics {
+    fn new(reg: &MetricsRegistry) -> Self {
         let stage = |label| {
             reg.counter(
                 "p2h_store_load_stage_ns_total",
@@ -108,7 +111,29 @@ fn store_metrics() -> &'static StoreMetrics {
                 &[],
             ),
         }
-    })
+    }
+
+    /// The registry side of [`record_read`].
+    fn note_read(&self, mode: LoadMode, ns: u64, bytes: usize) {
+        self.read_ns.add(ns);
+        match mode {
+            LoadMode::Copy => {
+                self.loads_copy.inc();
+                self.bytes_copy.add(bytes as u64);
+            }
+            LoadMode::Mmap => {
+                self.loads_mmap.inc();
+                self.bytes_mmap.add(bytes as u64);
+            }
+        }
+    }
+
+    /// The registry side of [`record_sweep`].
+    fn note_sweep(&self, swept: u64, future_skipped: u64) {
+        self.sweeps.inc();
+        self.swept_files.add(swept);
+        self.sweep_future_skips.add(future_skipped);
+    }
 }
 
 thread_local! {
@@ -125,18 +150,7 @@ thread_local! {
 /// byte counters. `mode` is the mode actually used (after any big-endian demotion).
 pub(crate) fn record_read(mode: LoadMode, ns: u64, bytes: usize) {
     READ_NS.with(|c| c.set(c.get().saturating_add(ns)));
-    let m = store_metrics();
-    m.read_ns.add(ns);
-    match mode {
-        LoadMode::Copy => {
-            m.loads_copy.inc();
-            m.bytes_copy.add(bytes as u64);
-        }
-        LoadMode::Mmap => {
-            m.loads_mmap.inc();
-            m.bytes_mmap.add(bytes as u64);
-        }
-    }
+    store_metrics().note_read(mode, ns, bytes);
 }
 
 /// Records one section checksum pass: `ns` in the CRC stage, `bytes` checksummed.
@@ -169,10 +183,7 @@ pub(crate) fn timed_decode<T>(f: impl FnOnce() -> T) -> T {
 /// Records one stale-file sweep deleting `swept` files and skipping `future_skipped`
 /// candidates whose mtime lies in the future.
 pub(crate) fn record_sweep(swept: u64, future_skipped: u64) {
-    let m = store_metrics();
-    m.sweeps.inc();
-    m.swept_files.add(swept);
-    m.sweep_future_skips.add(future_skipped);
+    store_metrics().note_sweep(swept, future_skipped);
 }
 
 /// Records one EINTR-interrupted syscall that the retry loop reissued.
@@ -184,41 +195,52 @@ pub(crate) fn record_eintr_retry() {
 mod tests {
     use super::*;
 
+    // Other tests in this binary load snapshots concurrently and bump the global
+    // counters, so these tests read state only they write: the calling thread's
+    // stage accumulators and a private registry.
+
     #[test]
     fn stage_attribution_is_reentrant_and_splits_read_crc_decode() {
-        let m = store_metrics();
-        let read0 = m.read_ns.value();
-        let crc0 = m.crc_ns.value();
-        let decode0 = m.decode_ns.value();
+        let read0 = READ_NS.with(Cell::get);
+        let crc0 = CRC_NS.with(Cell::get);
+        let decode0 = DECODE_NS.with(Cell::get);
 
-        // Outer load wraps an inner load; the inner one notes read + CRC work.
+        // Outer load wraps an inner load; the inner one notes read + CRC work and
+        // spends a known minimum of decode time.
+        let decode_floor = std::time::Duration::from_millis(2);
+        let start = Instant::now();
         timed_decode(|| {
             timed_decode(|| {
                 record_read(LoadMode::Copy, 1_000, 64);
                 record_crc(500, 64);
-                std::hint::black_box(0u64)
+                std::thread::sleep(decode_floor);
             });
         });
+        let wall = start.elapsed().as_nanos() as u64;
 
-        assert_eq!(m.read_ns.value() - read0, 1_000);
-        assert_eq!(m.crc_ns.value() - crc0, 500);
-        // Decode time excludes the noted read/CRC ns; the nested wrapper's share is
-        // subtracted from the outer one, so the total stays below wall time even
-        // though two wrappers observed the same interval.
-        let decode_d = m.decode_ns.value() - decode0;
-        assert!(decode_d < 1_500, "decode stage must exclude noted read/crc ns");
+        assert_eq!(READ_NS.with(Cell::get) - read0, 1_000);
+        assert_eq!(CRC_NS.with(Cell::get) - crc0, 500);
+        // Decode time excludes the noted read/CRC ns, and the nested wrapper's share is
+        // subtracted from the outer one: two wrappers observed the same interval, yet
+        // it is counted once. Both bounds hold however the thread is scheduled.
+        let decode_d = DECODE_NS.with(Cell::get) - decode0;
+        assert!(
+            decode_d <= wall - 1_500,
+            "decode {decode_d} ns double-counts or includes read/crc"
+        );
+        assert!(
+            decode_d >= decode_floor.as_nanos() as u64 - 1_500,
+            "decode {decode_d} ns lost time"
+        );
     }
 
     #[test]
     fn sweep_and_byte_counters_accumulate() {
-        let m = store_metrics();
-        let sweeps0 = m.sweeps.value();
-        let swept0 = m.swept_files.value();
-        let mmap_bytes0 = m.bytes_mmap.value();
-        record_sweep(3, 0);
-        record_read(LoadMode::Mmap, 10, 4096);
-        assert_eq!(m.sweeps.value() - sweeps0, 1);
-        assert_eq!(m.swept_files.value() - swept0, 3);
-        assert_eq!(m.bytes_mmap.value() - mmap_bytes0, 4096);
+        let m = StoreMetrics::new(&MetricsRegistry::new());
+        m.note_sweep(3, 0);
+        m.note_read(LoadMode::Mmap, 10, 4096);
+        assert_eq!(m.sweeps.value(), 1);
+        assert_eq!(m.swept_files.value(), 3);
+        assert_eq!(m.bytes_mmap.value(), 4096);
     }
 }

@@ -39,13 +39,11 @@ use crate::format::{io_error, StoreResult};
 /// How a `Store` (or a standalone snapshot load) materializes array payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoadMode {
-    /// Read the file and copy every array into fresh heap allocations (the default;
-    /// works for every container version).
+    /// Read the file and copy every array into fresh heap allocations (the default).
     #[default]
     Copy,
     /// Map the file with `mmap(2)` and serve the arrays as zero-copy views into the
-    /// mapping. Needs a v2 snapshot (v1 files silently demote to `Copy`); answers are
-    /// bit-identical either way. Cold-start cost drops to one checksum pass, peak RSS
+    /// mapping. Answers are bit-identical either way. Cold-start cost drops to one checksum pass, peak RSS
     /// no longer doubles, and the page cache shares the bytes between every process
     /// mapping the same file.
     Mmap,

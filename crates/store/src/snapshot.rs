@@ -22,7 +22,7 @@ use crate::format::{
 };
 use crate::mmap::{LoadMode, SourceOwner};
 
-/// Section tags of format version 1.
+/// Section tags of the snapshot container.
 pub(crate) mod tags {
     /// Dimensions, counts, build parameters, and the provenance note.
     pub const META: [u8; 4] = *b"META";
@@ -70,8 +70,7 @@ pub trait Snapshot: P2hIndex + Sized {
     /// Restores an index from a decode source: either plain bytes (copying) or a
     /// shared memory-mapped region, in which case every large array comes back as a
     /// zero-copy [`p2h_core::VecBuf`] window into the mapping. Answers are
-    /// bit-identical either way; v1 containers silently demote a mapped source to the
-    /// copying path (their payloads are unaligned).
+    /// bit-identical either way.
     ///
     /// # Errors
     ///
@@ -289,7 +288,6 @@ impl Snapshot for LinearScan {
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
         let mut reader = SnapshotReader::new(src.bytes())?;
-        let src = src.for_version(reader.version);
         expect_kind(&reader, Self::KIND)?;
         let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
         let points = read_points(&mut reader, &meta, src)?;
@@ -321,7 +319,6 @@ impl Snapshot for BallTree {
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
         let mut reader = SnapshotReader::new(src.bytes())?;
-        let src = src.for_version(reader.version);
         expect_kind(&reader, Self::KIND)?;
         let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
         let points = read_points(&mut reader, &meta, src)?;
@@ -366,7 +363,6 @@ impl Snapshot for BcTree {
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
         let mut reader = SnapshotReader::new(src.bytes())?;
-        let src = src.for_version(reader.version);
         expect_kind(&reader, Self::KIND)?;
         let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
         let points = read_points(&mut reader, &meta, src)?;
@@ -433,8 +429,8 @@ fn read_transform(mut payload: Payload<'_>) -> StoreResult<QuadraticTransform> {
 
 /// Serializes projection tables into a payload: `dim`, `m`, `n`, the direction matrix,
 /// then the sorted values (`m × n` f32, table-major) and the matching ids (`m × n`
-/// u32). The struct-of-arrays layout (v2) is what lets the zero-copy loader serve the
-/// value and id arrays as typed windows; v1 interleaved the `(value, id)` pairs.
+/// u32). The struct-of-arrays layout is what lets the zero-copy loader serve the
+/// value and id arrays as typed windows.
 fn write_projection_tables(payload: &mut Vec<u8>, tables: &ProjectionTables) {
     wire::put_u64(payload, tables.dim() as u64);
     wire::put_u64(payload, tables.table_count() as u64);
@@ -445,12 +441,10 @@ fn write_projection_tables(payload: &mut Vec<u8>, tables: &ProjectionTables) {
 }
 
 /// Restores projection tables from a payload (sortedness and per-table permutations are
-/// validated by [`ProjectionTables::from_parts`]). `version` selects the layout: v2 is
-/// struct-of-arrays (zero-copy capable), v1 interleaved pairs (always copied).
+/// validated by [`ProjectionTables::from_parts`]).
 fn read_projection_tables(
     payload: &mut Payload<'_>,
     src: SnapshotSource<'_>,
-    version: u16,
 ) -> StoreResult<ProjectionTables> {
     let dim = payload.get_u64_usize("PROJ dim")?;
     let m = payload.get_u64_usize("PROJ table count")?;
@@ -458,19 +452,9 @@ fn read_projection_tables(
     let direction_scalars =
         dim.checked_mul(m).ok_or(StoreError::Overflow { context: "PROJ m × dim" })?;
     let table_entries = m.checked_mul(n).ok_or(StoreError::Overflow { context: "PROJ m × n" })?;
-    if version >= 2 {
-        let directions = payload.get_f32_buf(direction_scalars, src, "PROJ directions")?;
-        let values = payload.get_f32_buf(table_entries, src, "PROJ values")?;
-        let ids = payload.get_u32_buf(table_entries, src, "PROJ ids")?;
-        return Ok(ProjectionTables::from_parts(dim, directions, n, values, ids)?);
-    }
-    let directions = payload.get_f32_vec(direction_scalars, "PROJ directions")?;
-    let mut values = Vec::with_capacity(table_entries.min(payload.len() / 8));
-    let mut ids = Vec::with_capacity(table_entries.min(payload.len() / 8));
-    for _ in 0..table_entries {
-        values.push(payload.get_f32("PROJ value")?);
-        ids.push(payload.get_u32("PROJ id")?);
-    }
+    let directions = payload.get_f32_buf(direction_scalars, src, "PROJ directions")?;
+    let values = payload.get_f32_buf(table_entries, src, "PROJ values")?;
+    let ids = payload.get_u32_buf(table_entries, src, "PROJ ids")?;
     Ok(ProjectionTables::from_parts(dim, directions, n, values, ids)?)
 }
 
@@ -503,7 +487,6 @@ impl Snapshot for NhIndex {
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
         let mut reader = SnapshotReader::new(src.bytes())?;
-        let src = src.for_version(reader.version);
         expect_kind(&reader, Self::KIND)?;
         let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
         let mut payload = reader.section(tags::NHPR)?;
@@ -518,7 +501,7 @@ impl Snapshot for NhIndex {
         let points = read_points(&mut reader, &meta, src)?;
         let transform = read_transform(reader.section(tags::TPRS)?)?;
         let mut payload = reader.section(tags::PROJ)?;
-        let tables = read_projection_tables(&mut payload, src, reader.version)?;
+        let tables = read_projection_tables(&mut payload, src)?;
         payload.finish()?;
         reader.finish()?;
         // `from_parts` cross-validates the arrays (dims, counts, λ + 1 coordinate).
@@ -562,7 +545,6 @@ impl Snapshot for FhIndex {
 
     fn decode_snapshot_src(src: SnapshotSource<'_>) -> StoreResult<Self> {
         let mut reader = SnapshotReader::new(src.bytes())?;
-        let src = src.for_version(reader.version);
         expect_kind(&reader, Self::KIND)?;
         let meta = SnapshotMeta::read(reader.section(tags::META)?)?;
         let mut payload = reader.section(tags::FHPR)?;
@@ -582,7 +564,7 @@ impl Snapshot for FhIndex {
             let mut payload = reader.section(tags::PRTN)?;
             let id_count = payload.get_u64_usize("PRTN id count")?;
             let ids = payload.get_u32_buf(id_count, src, "PRTN ids")?;
-            let tables = read_projection_tables(&mut payload, src, reader.version)?;
+            let tables = read_projection_tables(&mut payload, src)?;
             payload.finish()?;
             partitions.push((ids, tables));
         }

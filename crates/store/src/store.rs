@@ -502,7 +502,6 @@ fn encode_shard_map(meta: &ShardGroupMeta, id_maps: &[VecBuf<u32>]) -> Vec<u8> {
 fn decode_shard_map(src: SnapshotSource<'_>) -> StoreResult<(ShardGroupMeta, Vec<VecBuf<u32>>)> {
     let bytes = src.bytes();
     let mut reader = SnapshotReader::new(bytes)?;
-    let src = src.for_version(reader.version);
     if reader.kind != IndexKind::ShardMap {
         return Err(StoreError::KindMismatch { expected: IndexKind::ShardMap, found: reader.kind });
     }

@@ -1,7 +1,7 @@
 //! Zero-copy (format v2 + `LoadMode::Mmap`) loader tests: bit-identity against the
 //! copying loader for every index kind, every-byte truncation hardening on the mapped
-//! path (mirroring the v1/copying suite), alignment-violation handling, v1
-//! compatibility, and the open-time sweep of crash-leftover epoch files.
+//! path (mirroring the copying suite), alignment-violation handling, rejection of
+//! version-1 files, and the open-time sweep of crash-leftover epoch files.
 
 use std::path::PathBuf;
 
@@ -12,8 +12,8 @@ use p2h_bctree::{BcTree, BcTreeBuilder};
 use p2h_core::{HyperplaneQuery, LinearScan, P2hIndex, PointSet, SearchParams};
 use p2h_data::{generate_queries, DataDistribution, QueryDistribution, SyntheticDataset};
 use p2h_hash::{FhIndex, FhParams, NhIndex, NhParams};
-use p2h_store::format::{wire, SnapshotSource, SnapshotWriter, HEADER_LEN, SECTION_HEADER_LEN};
-use p2h_store::{IndexKind, LoadMode, MmapRegion, Snapshot, Store, StoreError, FORMAT_VERSION_V1};
+use p2h_store::format::{wire, SnapshotSource, HEADER_LEN, SECTION_HEADER_LEN};
+use p2h_store::{crc32, IndexKind, LoadMode, MmapRegion, Snapshot, Store, StoreError, MAGIC};
 
 fn dataset(n: usize, dim: usize, seed: u64) -> PointSet {
     SyntheticDataset::new(
@@ -180,90 +180,59 @@ fn nonzero_padding_is_a_typed_misalignment_error() {
     ));
 }
 
-/// Hand-writes a v1 (12-byte header, unpadded) LinearScan snapshot.
+/// Hand-writes a format-version-1 LinearScan snapshot: the 12-byte header and
+/// unpadded sections that version used.
 fn encode_v1_linear_scan(points: &PointSet) -> Vec<u8> {
-    let mut writer = SnapshotWriter::with_version(IndexKind::LinearScan, FORMAT_VERSION_V1);
-    let meta = writer.section(*b"META");
-    wire::put_u64(meta, points.dim() as u64);
-    wire::put_u64(meta, points.len() as u64);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, 0);
-    wire::put_u32(meta, 0); // empty note
-    wire::put_f32_slice(writer.section(*b"PNTS"), points.as_flat());
-    writer.finish()
-}
+    let mut meta = Vec::new();
+    wire::put_u64(&mut meta, points.dim() as u64);
+    wire::put_u64(&mut meta, points.len() as u64);
+    wire::put_u64(&mut meta, 0);
+    wire::put_u64(&mut meta, 0);
+    wire::put_u64(&mut meta, 0);
+    wire::put_u32(&mut meta, 0); // empty note
+    let mut pnts = Vec::new();
+    wire::put_f32_slice(&mut pnts, points.as_flat());
 
-/// Hand-writes a v1 NH snapshot with the legacy *interleaved* `(value, id)` PROJ
-/// layout, exercising the layout branch of the v1 reader.
-fn encode_v1_nh(nh: &NhIndex) -> Vec<u8> {
-    let points = nh.points();
-    let mut writer = SnapshotWriter::with_version(IndexKind::Nh, FORMAT_VERSION_V1);
-    let meta = writer.section(*b"META");
-    wire::put_u64(meta, points.dim() as u64);
-    wire::put_u64(meta, points.len() as u64);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, 0);
-    wire::put_u64(meta, nh.params().seed);
-    wire::put_u32(meta, 0);
-    let params = writer.section(*b"NHPR");
-    wire::put_u64(params, nh.params().lambda_factor as u64);
-    wire::put_u64(params, nh.params().tables as u64);
-    wire::put_u64(params, nh.params().collision_threshold as u64);
-    wire::put_u64(params, nh.params().seed);
-    wire::put_f32(params, nh.alignment_constant());
-    wire::put_f32_slice(writer.section(*b"PNTS"), points.as_flat());
-    let transform = writer.section(*b"TPRS");
-    wire::put_u64(transform, nh.transform().input_dim() as u64);
-    wire::put_f32(transform, nh.transform().scale());
-    wire::put_u64(transform, nh.transform().pairs().len() as u64);
-    for &(i, j) in nh.transform().pairs() {
-        wire::put_u32(transform, i);
-        wire::put_u32(transform, j);
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&1u16.to_le_bytes());
+    out.push(IndexKind::LinearScan.tag());
+    out.push(0);
+    out.extend_from_slice(&2u32.to_le_bytes());
+    for (tag, payload) in [(*b"META", meta), (*b"PNTS", pnts)] {
+        out.extend_from_slice(&tag);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
     }
-    let tables = nh.tables();
-    let proj = writer.section(*b"PROJ");
-    wire::put_u64(proj, tables.dim() as u64);
-    wire::put_u64(proj, tables.table_count() as u64);
-    wire::put_u64(proj, tables.len() as u64);
-    wire::put_f32_slice(proj, tables.directions());
-    for t in 0..tables.table_count() {
-        for (value, id) in tables.table_values(t).iter().zip(tables.table_ids(t)) {
-            wire::put_f32(proj, *value);
-            wire::put_u32(proj, *id);
-        }
-    }
-    writer.finish()
+    out
 }
 
 #[test]
-fn v1_snapshots_still_load_via_the_copying_path() {
-    let ps = dataset(900, 8, 45);
-
-    let scan = LinearScan::new(ps.clone());
-    let v1 = encode_v1_linear_scan(&ps);
-    assert_ne!(v1[4], 2, "test must exercise a genuine v1 container");
-    let loaded = LinearScan::decode_snapshot(&v1).unwrap();
-    assert_bit_identical(&scan, &loaded, &ps, 7);
-    // Every-byte truncation of the v1 container stays typed as well.
-    for cut in 0..v1.len() {
-        assert!(LinearScan::decode_snapshot(&v1[..cut]).is_err(), "v1 prefix {cut}");
+fn v1_snapshots_are_rejected_as_unsupported_under_both_sources() {
+    let v1 = encode_v1_linear_scan(&dataset(300, 8, 45));
+    // Every prefix, the whole file included, is a typed error under both sources:
+    // too short to name its version → `Truncated`, otherwise `UnsupportedVersion`.
+    for cut in 0..=v1.len() {
+        let bytes = &v1[..cut];
+        let region = MmapRegion::from_bytes(bytes.to_vec());
+        for (source, result) in [
+            ("bytes", LinearScan::decode_snapshot_src(SnapshotSource::Bytes(bytes))),
+            ("mapped", LinearScan::decode_snapshot_src(SnapshotSource::Mapped(&region))),
+        ] {
+            let err = result.err().unwrap_or_else(|| panic!("{source} prefix {cut} loaded"));
+            if cut < 6 {
+                assert!(
+                    matches!(err, StoreError::Truncated { .. }),
+                    "{source} prefix {cut}: {err}"
+                );
+            } else {
+                assert!(
+                    matches!(err, StoreError::UnsupportedVersion { found: 1, supported: 2 }),
+                    "{source} prefix {cut}: {err}"
+                );
+            }
+        }
     }
-
-    // A mapped source on a v1 file silently demotes to copying: it loads fine and
-    // owns its arrays (no zero-copy view is possible without alignment).
-    let region = MmapRegion::from_bytes(v1);
-    let demoted = LinearScan::decode_snapshot_src(SnapshotSource::Mapped(&region)).unwrap();
-    assert!(!demoted.points().is_mapped());
-    assert_bit_identical(&scan, &demoted, &ps, 7);
-
-    // NH exercises the interleaved v1 PROJ layout.
-    let nh = NhIndex::build(&ps, NhParams::new(2, 6).with_seed(9)).unwrap();
-    let v1 = encode_v1_nh(&nh);
-    let loaded = NhIndex::decode_snapshot(&v1).unwrap();
-    assert_eq!(loaded.tables().values(), nh.tables().values());
-    assert_eq!(loaded.tables().ids(), nh.tables().ids());
-    assert_bit_identical(&nh, &loaded, &ps, 8);
 }
 
 #[test]
