@@ -71,7 +71,7 @@ impl BallTree {
             stats.nodes_visited += 1;
 
             let lb = node_ball_bound(ip.abs(), query_norm, node.radius);
-            if lb >= collector.threshold() {
+            if lb > collector.threshold() {
                 stats.pruned_subtrees += 1;
                 continue;
             }

@@ -93,7 +93,7 @@ impl BcTree {
             stats.nodes_visited += 1;
 
             let lb = node_ball_bound(ip.abs(), query_norm, node.radius);
-            if lb >= collector.threshold() {
+            if lb > collector.threshold() {
                 stats.pruned_subtrees += 1;
                 continue;
             }
@@ -209,7 +209,7 @@ impl BcTree {
                 let aux = self.aux[p];
                 if variant.uses_ball_bound() {
                     let lb_ball = point_ball_bound(abs_ip, query_norm, aux.radius);
-                    if lb_ball >= lambda {
+                    if lb_ball > lambda {
                         stats.pruned_by_ball_bound += (end - p) as u64;
                         suffix_pruned = true;
                         break;
@@ -217,7 +217,7 @@ impl BcTree {
                 }
                 if variant.uses_cone_bound() {
                     let lb_cone = point_cone_bound(q_cos, q_sin, aux.x_cos, aux.x_sin);
-                    if lb_cone >= lambda {
+                    if lb_cone > lambda {
                         stats.pruned_by_cone_bound += 1;
                         continue;
                     }

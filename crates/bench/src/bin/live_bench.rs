@@ -1,4 +1,4 @@
-//! Live-tier benchmark: what online updates cost. Three measurements against one
+//! Live-tier benchmark: what online updates cost. Four measurements against one
 //! streaming pool, plus a bit-identity check of the layered answers:
 //!
 //! 1. **Durable insert throughput vs batch size** — every `insert_batch` call is one
@@ -11,9 +11,15 @@
 //!    base into a fresh tree committed as a new store epoch; the comparison is
 //!    building the same tree from raw points and saving it (what a rebuild-the-world
 //!    pipeline would pay, ignoring its serving gap).
+//! 4. **Base tombstones vs query cost** — deletes of base points are tombstones
+//!    until the next compaction. The exact query latency and the base candidates
+//!    verified per query are measured at 0, 1k and 5k tombstones, each one a point
+//!    nearest some query (round-robin over the queries). That is the worst place
+//!    for a tombstone: it is verified but never admitted to the top-k, so the base
+//!    search runs as deep as the query's k-th nearest survivor.
 //!
 //! With `--check`, every layered answer set (before, during, and after the memtable
-//! growth, and after compaction) is compared bit-for-bit against a fresh
+//! growth, after compaction, and with 5k base tombstones) is compared bit-for-bit against a fresh
 //! [`LinearScan`] rebuild over the same live points; any mismatch exits non-zero.
 //!
 //! ```text
@@ -130,17 +136,20 @@ fn oracle_answers(live: &LiveIndex, queries: &[HyperplaneQuery], k: usize) -> Ve
         .collect()
 }
 
-fn mean_latency_us(live: &LiveIndex, queries: &[HyperplaneQuery], k: usize) -> f64 {
-    // One untimed pass first: the timed pass must not pay first-touch page faults
-    // for freshly compacted (or freshly mapped) base arrays.
+/// Mean exact-query latency (µs) and mean candidates verified per query.
+fn exact_query_cost(live: &LiveIndex, queries: &[HyperplaneQuery], k: usize) -> (f64, f64) {
+    // One untimed pass first (it counts the candidates): the timed pass must not pay
+    // first-touch page faults for freshly compacted (or freshly mapped) base arrays.
+    let mut candidates = 0u64;
     for q in queries {
-        std::hint::black_box(live.search_exact(q, k).expect("live search"));
+        candidates += live.search_exact(q, k).expect("live search").stats.candidates_verified;
     }
     let start = Instant::now();
     for q in queries {
         std::hint::black_box(live.search_exact(q, k).expect("live search"));
     }
-    start.elapsed().as_secs_f64() * 1e6 / queries.len() as f64
+    let per_query = queries.len() as f64;
+    (start.elapsed().as_secs_f64() * 1e6 / per_query, candidates as f64 / per_query)
 }
 
 fn main() {
@@ -226,7 +235,7 @@ fn main() {
                 .expect("memtable growth insert");
             cursor += step;
         }
-        let us = mean_latency_us(&live, &queries, cfg.k);
+        let (us, _) = exact_query_cost(&live, &queries, cfg.k);
         if base.is_nan() {
             base = us;
         }
@@ -247,7 +256,7 @@ fn main() {
     let report = live.compact().expect("measured compaction");
     let compact_s = start.elapsed().as_secs_f64();
     check(&live, "after the measured compaction");
-    let post_compact_us = mean_latency_us(&live, &queries, cfg.k);
+    let (post_compact_us, _) = exact_query_cost(&live, &queries, cfg.k);
 
     let (rebuild_build_s, rebuild_save_s) = {
         let ordered = live.live_points();
@@ -293,6 +302,71 @@ fn main() {
         post_compact_us,
     );
 
+    // ---- 4. base tombstones vs exact query cost ------------------------------------
+    // The memtable is empty after the measured compaction, so every candidate below
+    // is a base candidate. Tombstones go round-robin over the queries, each time to
+    // that query's nearest point not yet deleted.
+    let tombstone_steps = [0usize, 1_000, 5_000];
+    let max_tombs = tombstone_steps[tombstone_steps.len() - 1];
+    let order: Vec<u32> = {
+        let ordered = live.live_points();
+        let rows: Vec<Vec<Scalar>> = ordered.iter().map(|(_, row)| row.clone()).collect();
+        let scan = LinearScan::new(PointSet::from_rows(&rows).expect("oracle point set"));
+        let depth = max_tombs.min(ordered.len());
+        let nearest: Vec<Vec<u32>> = queries
+            .iter()
+            .map(|q| {
+                let result = scan.search(q, &SearchParams::exact(depth));
+                result.neighbors.iter().map(|n| ordered[n.index].0).collect()
+            })
+            .collect();
+        let mut seen = std::collections::HashSet::new();
+        let mut order = Vec::with_capacity(depth);
+        for rank in 0..depth {
+            for list in &nearest {
+                if seen.insert(list[rank]) {
+                    order.push(list[rank]);
+                }
+            }
+        }
+        order.truncate(depth);
+        order
+    };
+    let mut tombstone_rows: Vec<Vec<String>> = Vec::new();
+    let mut deleted = 0usize;
+    let mut untombstoned = (f64::NAN, f64::NAN);
+    for &target in &tombstone_steps {
+        let target = target.min(order.len());
+        for &id in &order[deleted..target] {
+            live.delete(id).expect("tombstone delete");
+        }
+        deleted = target;
+        let (us, candidates) = exact_query_cost(&live, &queries, cfg.k);
+        if untombstoned.0.is_nan() {
+            untombstoned = (us, candidates);
+        }
+        tombstone_rows.push(vec![
+            deleted.to_string(),
+            format!("{:.1}", us),
+            format!("{:.2}x", us / untombstoned.0),
+            format!("{:.0}", candidates),
+            format!("{:.2}x", candidates / untombstoned.1),
+        ]);
+    }
+    check(&live, "with the most base tombstones");
+    let tombstone_headers = [
+        "base tombstones",
+        "mean query latency (µs)",
+        "vs none",
+        "base candidates / query",
+        "vs none",
+    ];
+    println!(
+        "\n## base tombstones vs exact query cost (each tombstone one of a query's \
+         nearest points)\n"
+    );
+    println!("{}", markdown_table(&tombstone_headers, &tombstone_rows));
+
     std::fs::create_dir_all(&cfg.out_dir).expect("create out dir");
     write_csv(&cfg.out_dir.join("live_bench_inserts.csv"), &insert_headers, &insert_rows)
         .expect("write csv");
@@ -304,6 +378,8 @@ fn main() {
         &compaction_rows,
     )
     .expect("write csv");
+    write_csv(&cfg.out_dir.join("live_bench_tombstones.csv"), &tombstone_headers, &tombstone_rows)
+        .expect("write csv");
     println!("\ncsv written to {}", cfg.out_dir.display());
 
     std::fs::remove_dir_all(&dir).ok();

@@ -261,10 +261,13 @@ pub trait P2hIndex: Send + Sync {
     /// steady-state execution when many queries run on one thread.
     ///
     /// Results are identical to [`P2hIndex::search`] — the scratch only carries
-    /// reusable working memory (top-k heap storage, traversal stack, distance strips).
-    /// The default implementation ignores the scratch and delegates to `search`, so
-    /// indexes without a scratch-aware path (e.g. the hashing baselines) remain
-    /// correct; the tree indexes and `LinearScan` override it.
+    /// reusable working memory (top-k heap storage, traversal stack, distance strips)
+    /// — except that ids in the collector's exclusion filter
+    /// ([`crate::TopKCollector::set_excluded`]) never enter the answer: the search
+    /// returns the top-k of the points *not* excluded. Every index kind in the
+    /// workspace offers its point positions through `scratch.collector` and so honours
+    /// the filter; the default implementation ignores the scratch (and any filter)
+    /// and delegates to `search`.
     fn search_with_scratch(
         &self,
         query: &HyperplaneQuery,

@@ -8,7 +8,8 @@
 //!   dimension-append convention of the paper (`x = (p; 1)`),
 //! * [`HyperplaneQuery`] — a hyperplane query normalized so that the point-to-hyperplane
 //!   distance reduces to an absolute inner product,
-//! * [`TopKCollector`] and [`Neighbor`] — a bounded max-heap for maintaining the current
+//! * [`TopKCollector`] and [`Neighbor`] — a bounded max-heap (with an optional
+//!   [`IdBitset`] exclusion filter) for maintaining the current
 //!   top-k answers and the pruning threshold `q.λ`, plus [`merge_topk`] — the
 //!   deterministic total-order merge shared by every fan-out path (shards, the
 //!   distributed router, the live memtable layering),
@@ -75,7 +76,7 @@ pub use linear_scan::LinearScan;
 pub use point_set::PointSet;
 pub use query::HyperplaneQuery;
 pub use scratch::{QueryScratch, LEAF_STRIP};
-pub use topk::{merge_topk, Neighbor, TopKCollector};
+pub use topk::{merge_topk, IdBitset, Neighbor, TopKCollector};
 
 /// The floating point type used for data points and queries throughout the workspace.
 ///

@@ -71,22 +71,121 @@ pub fn merge_topk(k: usize, lists: Vec<Vec<Neighbor>>) -> Vec<Neighbor> {
     merged
 }
 
-/// A bounded max-heap that keeps the `k` smallest-distance neighbors seen so far.
+/// A growable set of ids, one bit each: the exclusion filter of a
+/// [`TopKCollector`], and the live tier's base tombstones.
+///
+/// Ids at or beyond the highest word ever touched are absent, so an empty set costs
+/// no memory and a filter never needs to be sized to the index it guards.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IdBitset {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl IdBitset {
+    /// An empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of ids in the set.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set holds no id.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether `id` is in the set.
+    #[inline]
+    pub fn contains(&self, id: usize) -> bool {
+        self.words.get(id / 64).is_some_and(|word| word & (1 << (id % 64)) != 0)
+    }
+
+    /// Adds `id`, growing the set as needed; returns whether it was absent.
+    pub fn insert(&mut self, id: usize) -> bool {
+        let word = id / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let bit = 1 << (id % 64);
+        let absent = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(absent);
+        absent
+    }
+
+    /// Empties the set, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
+    }
+
+    /// Makes this set a copy of `other`, reusing this set's allocation.
+    pub fn copy_from(&mut self, other: &IdBitset) {
+        self.words.clone_from(&other.words);
+        self.len = other.len;
+    }
+
+    /// The ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+impl FromIterator<usize> for IdBitset {
+    fn from_iter<I: IntoIterator<Item = usize>>(ids: I) -> Self {
+        let mut set = Self::new();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
+
+/// A bounded max-heap that keeps the `k` smallest neighbors seen so far.
 ///
 /// This is the `q.bm` / `q.λ` pair of Algorithms 3 and 5 in the paper generalized to
-/// top-k: [`TopKCollector::threshold`] is the current `q.λ`, i.e. the distance that a new
-/// candidate must beat to enter the result set.
+/// top-k: [`TopKCollector::threshold`] is the current `q.λ`, the distance of the worst
+/// neighbor held.
+///
+/// **Tie rule.** Candidates are ranked by the total [`Neighbor`] order: smaller
+/// distance first, and at equal distance the smaller id. A full collector admits a
+/// candidate exactly when it ranks before the worst neighbor held, so the final top-k
+/// is the unique top-k of everything offered, whatever order it was offered in. The
+/// trees therefore prune a subtree only when its lower bound is strictly greater than
+/// `q.λ` (a point at exactly `q.λ` with a smaller id can still enter), and the live
+/// tier's layering relies on the same uniqueness for bit-identical answers.
+///
+/// **Exclusion filter.** Ids in [`TopKCollector::set_excluded`]'s set are never
+/// admitted. The check runs only after a candidate passes the threshold, so the
+/// common reject path costs nothing extra; ids beyond the set's length are never
+/// excluded. [`TopKCollector::reset`] leaves the filter in place.
 #[derive(Debug, Clone)]
 pub struct TopKCollector {
     k: usize,
     heap: BinaryHeap<Neighbor>,
+    excluded: IdBitset,
 }
 
 impl TopKCollector {
     /// Creates a collector for the `k` nearest neighbors. `k` is clamped to at least 1.
     pub fn new(k: usize) -> Self {
         let k = k.max(1);
-        Self { k, heap: BinaryHeap::with_capacity(k + 1) }
+        Self { k, heap: BinaryHeap::with_capacity(k + 1), excluded: IdBitset::new() }
     }
 
     /// The `k` this collector was created with.
@@ -116,8 +215,9 @@ impl TopKCollector {
     /// The current pruning threshold `q.λ`: the k-th smallest distance seen so far, or
     /// `+∞` while fewer than `k` candidates have been accepted.
     ///
-    /// Any candidate (or subtree) whose lower bound is at least this value cannot improve
-    /// the result set and can be pruned.
+    /// Any candidate (or subtree) whose lower bound is greater than this value cannot
+    /// improve the result set and can be pruned; at equal distance only a smaller id
+    /// can still enter (see the tie rule above).
     #[inline]
     pub fn threshold(&self) -> Scalar {
         if self.is_full() {
@@ -128,23 +228,42 @@ impl TopKCollector {
     }
 
     /// Offers a candidate; returns `true` if it entered the current top-k.
+    #[inline]
     pub fn offer(&mut self, index: usize, distance: Scalar) -> bool {
-        if self.heap.len() < self.k {
-            self.heap.push(Neighbor::new(index, distance));
+        let candidate = Neighbor::new(index, distance);
+        if self.heap.len() >= self.k {
+            let worst = *self.heap.peek().expect("k >= 1, so a full heap is non-empty");
+            // Full: the candidate must rank strictly before the worst neighbor held.
+            // The float test rejects the common case in one comparison; it agrees with
+            // the total order wherever it fires (NaN never compares greater, so it
+            // falls through to the exact comparison).
+            if distance > worst.distance || candidate >= worst || self.excluded.contains(index) {
+                return false;
+            }
+            *self.heap.peek_mut().expect("full heap") = candidate;
             return true;
         }
-        // Heap is full: replace the current worst if the candidate is strictly better.
-        if distance < self.threshold() {
-            self.heap.pop();
-            self.heap.push(Neighbor::new(index, distance));
-            true
-        } else {
-            false
+        if self.excluded.contains(index) {
+            return false;
         }
+        self.heap.push(candidate);
+        true
+    }
+
+    /// Installs `ids` as the exclusion filter (a copy into this collector's own
+    /// storage, reusing its allocation). It stays until replaced or cleared.
+    pub fn set_excluded(&mut self, ids: &IdBitset) {
+        self.excluded.copy_from(ids);
+    }
+
+    /// Removes the exclusion filter (keeping its allocation).
+    pub fn clear_excluded(&mut self) {
+        self.excluded.clear();
     }
 
     /// Prepares the collector for a fresh query: empties the heap (keeping its
-    /// allocation) and sets a new `k` (clamped to at least 1).
+    /// allocation) and sets a new `k` (clamped to at least 1). The exclusion filter is
+    /// left as it is.
     ///
     /// This is the reuse hook of the allocation-free query path: a
     /// [`crate::QueryScratch`] resets its collector between queries instead of
@@ -233,8 +352,48 @@ mod tests {
         assert!(a < b);
         let mut c = TopKCollector::new(1);
         c.offer(5, 1.0);
-        // An equal distance does not displace the incumbent (strictly-better rule).
-        assert!(!c.offer(3, 1.0));
+        // An equal distance with a smaller id ranks first, so it displaces the
+        // incumbent: the answer does not depend on the offer order.
+        assert!(c.offer(3, 1.0));
+        assert!(!c.offer(4, 1.0), "a larger id at the threshold distance stays out");
+        assert_eq!(c.into_sorted_vec(), vec![Neighbor::new(3, 1.0)]);
+    }
+
+    #[test]
+    fn id_bitset_tracks_membership_count_and_order() {
+        let mut set = IdBitset::new();
+        assert!(set.is_empty());
+        assert!(!set.contains(0) && !set.contains(1_000_000), "beyond the words: absent");
+        for id in [130, 3, 64, 63, 3] {
+            set.insert(id);
+        }
+        assert_eq!(set.len(), 4, "a repeated insert is not counted twice");
+        assert!(!set.insert(64));
+        assert!(set.contains(63) && set.contains(64) && !set.contains(65));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![3, 63, 64, 130]);
+        let mut copy = IdBitset::from_iter([7]);
+        copy.copy_from(&set);
+        assert_eq!(copy, set);
+        assert_eq!(set.clone(), set);
+        set.clear();
+        assert!(set.is_empty() && !set.contains(3));
+        assert_eq!(set.iter().count(), 0);
+    }
+
+    #[test]
+    fn excluded_ids_never_enter_and_reset_keeps_the_filter() {
+        let mut c = TopKCollector::new(2);
+        c.set_excluded(&IdBitset::from_iter([1, 4]));
+        for (i, d) in [3.0, 0.1, 2.0, 5.0, 0.2].iter().enumerate() {
+            c.offer(i, *d);
+        }
+        let ids: Vec<usize> = c.take_sorted().iter().map(|n| n.index).collect();
+        assert_eq!(ids, vec![2, 0], "the two best non-excluded ids");
+        c.reset(1);
+        assert!(!c.offer(1, 0.0), "the filter survives reset, even while not full");
+        assert!(c.offer(9, 0.5), "ids beyond the set's words are never excluded");
+        c.clear_excluded();
+        assert!(c.offer(1, 0.0));
     }
 
     #[test]
@@ -299,6 +458,30 @@ mod tests {
             expected.sort_by(|a, b| a.total_cmp(b));
             expected.truncate(k);
             prop_assert_eq!(got, expected);
+        }
+
+        #[test]
+        fn tied_and_excluded_candidates_match_a_filtered_full_sort(
+            distances in proptest::collection::vec(0u32..6, 1..200),
+            excluded in proptest::collection::vec(0usize..250, 0..40),
+            k in 1usize..20,
+        ) {
+            // Few distinct distances, so most admissions are decided by the id.
+            let excluded: IdBitset = excluded.into_iter().collect();
+            let mut c = TopKCollector::new(k);
+            c.set_excluded(&excluded);
+            // Offer in a scrambled order: the answer must not depend on it.
+            let n = distances.len();
+            for i in (0..n).map(|i| (i * 7919) % n) {
+                c.offer(i, distances[i] as Scalar);
+            }
+            let mut expected: Vec<Neighbor> = (0..n)
+                .filter(|&i| !excluded.contains(i))
+                .map(|i| Neighbor::new(i, distances[i] as Scalar))
+                .collect();
+            expected.sort_unstable();
+            expected.truncate(k);
+            prop_assert_eq!(c.into_sorted_vec(), expected);
         }
 
         #[test]

@@ -3,8 +3,8 @@
 use std::time::Instant;
 
 use p2h_core::{
-    distance, HyperplaneQuery, P2hIndex, PointSet, Result, Scalar, SearchParams, SearchResult,
-    SearchStats, TopKCollector, VecBuf,
+    distance, HyperplaneQuery, P2hIndex, PointSet, QueryScratch, Result, Scalar, SearchParams,
+    SearchResult, SearchStats, VecBuf,
 };
 
 use crate::projections::ProjectionTables;
@@ -253,11 +253,21 @@ impl P2hIndex for FhIndex {
     }
 
     fn search(&self, query: &HyperplaneQuery, params: &SearchParams) -> SearchResult {
+        self.search_with_scratch(query, params, &mut QueryScratch::new())
+    }
+
+    fn search_with_scratch(
+        &self,
+        query: &HyperplaneQuery,
+        params: &SearchParams,
+        scratch: &mut QueryScratch,
+    ) -> SearchResult {
         assert_eq!(query.dim(), self.points.dim(), "query dimension mismatch");
         let start = Instant::now();
         let timing = params.collect_timing;
         let mut stats = SearchStats::default();
-        let mut collector = TopKCollector::new(params.k);
+        scratch.reset(params.k);
+        let collector = &mut scratch.collector;
         let limit = params.candidate_limit.unwrap_or(self.points.len()) as u64;
 
         // Transform the query once and open a furthest-first stream per partition.
@@ -317,7 +327,7 @@ impl P2hIndex for FhIndex {
 
         stats.buckets_probed = streams.iter().map(|s| s.probes()).sum();
         stats.time_total_ns = start.elapsed().as_nanos() as u64;
-        SearchResult { neighbors: collector.into_sorted_vec(), stats }
+        SearchResult { neighbors: collector.take_sorted(), stats }
     }
 }
 

@@ -25,12 +25,11 @@
 //! leaves the index serving the old epoch with the extra segment still referenced;
 //! a retry simply advances to the next epoch number.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::time::Instant;
 
 use p2h_balltree::{BallTreeBuilder, DEFAULT_LEAF_SIZE};
-use p2h_core::{PointSet, Scalar};
+use p2h_core::{IdBitset, PointSet, Scalar};
 use p2h_store::{
     live_base_file, live_ids_file, live_wal_file, LiveEntryFiles, LiveIdsSnapshot, LoadedIndex,
     Snapshot, WalHeader, WalWriter,
@@ -160,7 +159,7 @@ impl LiveIndex {
         if let Some(base) = &state.base {
             let rows = base_rows(base);
             for (pos, &id) in state.base_ids.iter().enumerate() {
-                if !state.base_tombs.contains(&(pos as u32)) {
+                if !state.base_tombs.contains(pos) {
                     ids.push(id);
                     flat.extend_from_slice(rows.row(pos));
                 }
@@ -226,16 +225,15 @@ impl LiveIndex {
         state.files = files;
         state.base = tree.map(LoadedIndex::BallTree);
         state.base_ids = ids.into();
-        let new_tombs: BTreeSet<u32> = {
+        let new_tombs: IdBitset = {
             let base_ids = &state.base_ids;
             pending
                 .tombs
                 .iter()
                 .map(|gid| {
-                    let pos = base_ids
+                    base_ids
                         .binary_search(gid)
-                        .expect("a point deleted mid-compaction survived the freeze snapshot");
-                    pos as u32
+                        .expect("a point deleted mid-compaction survived the freeze snapshot")
                 })
                 .collect()
         };

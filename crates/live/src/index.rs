@@ -2,11 +2,10 @@
 //! paths. Layered search lives in [`crate::search`], compaction in
 //! [`crate::compact`].
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use p2h_core::{Error, Scalar, VecBuf};
+use p2h_core::{Error, IdBitset, Scalar, VecBuf};
 use p2h_store::{
     live_ids_file, live_wal_file, replay_wal, LiveEntryFiles, LiveIdsSnapshot, LoadedIndex, Store,
     StoreError, StoreResult, WalHeader, WalOp, WalWriter,
@@ -86,8 +85,9 @@ pub(crate) struct LiveState {
     pub base: Option<LoadedIndex>,
     /// Strictly increasing global ids, one per base point in base (original) order.
     pub base_ids: VecBuf<u32>,
-    /// Base-local positions masked by a delete.
-    pub base_tombs: BTreeSet<u32>,
+    /// Base-local positions masked by a delete, one bit each (with their count).
+    /// Layered search installs this set as the base search's exclusion filter.
+    pub base_tombs: IdBitset,
     /// Memtable layers, oldest first; the last one is the active (appendable) layer.
     pub layers: Vec<Layer>,
     pub wal: WalWriter,
@@ -186,7 +186,7 @@ impl LiveIndex {
             next_id: 0,
             base: None,
             base_ids: Vec::new().into(),
-            base_tombs: BTreeSet::new(),
+            base_tombs: IdBitset::new(),
             layers: vec![Layer::empty(0)],
             wal,
             files,
@@ -238,7 +238,7 @@ impl LiveIndex {
         }
         let metrics = LiveMetrics::for_index(name);
         let mut layer = Layer::empty(ids.next_id);
-        let mut base_tombs = BTreeSet::new();
+        let mut base_tombs = IdBitset::new();
         let mut next_id = ids.next_id;
         let mut wal_epoch = ids.epoch;
         let mut last_replay = None;
@@ -405,7 +405,7 @@ impl LiveIndex {
                 state.layers[ordinal].delete(id);
             }
             Target::Base(pos) => {
-                state.base_tombs.insert(pos);
+                state.base_tombs.insert(pos as usize);
             }
         }
         if let Some(pending) = &mut state.compaction {
@@ -470,7 +470,7 @@ impl LiveIndex {
         if let Some(base) = &state.base {
             let rows = crate::compact::base_rows(base);
             for (pos, &id) in state.base_ids.iter().enumerate() {
-                if !state.base_tombs.contains(&(pos as u32)) {
+                if !state.base_tombs.contains(pos) {
                     out.push((id, rows.row(pos).to_vec()));
                 }
             }
@@ -516,7 +516,7 @@ fn locate_live(state: &LiveState, id: u32) -> Option<Target> {
     match state.base_ids.binary_search(&id) {
         Ok(pos) => {
             let pos = pos as u32;
-            (!state.base_tombs.contains(&pos)).then_some(Target::Base(pos))
+            (!state.base_tombs.contains(pos as usize)).then_some(Target::Base(pos))
         }
         Err(_) => None,
     }
@@ -527,7 +527,7 @@ fn locate_live(state: &LiveState, id: u32) -> Option<Target> {
 fn apply_replayed_delete(
     id: u32,
     ids: &LiveIdsSnapshot,
-    base_tombs: &mut BTreeSet<u32>,
+    base_tombs: &mut IdBitset,
     layer: &mut Layer,
 ) -> StoreResult<()> {
     if layer.contains(id) {
@@ -542,7 +542,7 @@ fn apply_replayed_delete(
     }
     match ids.ids.binary_search(&id) {
         Ok(pos) => {
-            if !base_tombs.insert(pos as u32) {
+            if !base_tombs.insert(pos) {
                 return Err(StoreError::WalCorrupt {
                     message: format!(
                         "replayed delete of id {id}, which an earlier frame already deleted"

@@ -17,9 +17,13 @@
 //!   file's mapping is strictly increasing, so translating positions to global ids
 //!   preserves the order and therefore every accept/reject decision. Memtable rows
 //!   are offered under their global ids directly.
-//! * **Tombstones** — the base is searched with `k' = k + tombstones`: the k best
-//!   *surviving* base points are always contained in the top-`k'` overall, so
-//!   filtering tombstones after the fact loses nothing.
+//! * **Tombstones** — the base tombstones are installed as the collector's
+//!   exclusion filter ([`p2h_core::TopKCollector::set_excluded`]) and the base is
+//!   searched with plain `k`. A tombstoned point is still verified when its leaf is
+//!   visited, but it is never admitted, so it never tightens `q.λ`: the base
+//!   returns exactly the top-k of its *surviving* points, and prunes against the
+//!   k-th survivor's distance rather than the `(k + tombstones)`-th. The filter is
+//!   cleared before the memtable scan, whose rows carry their own tombstones.
 //!
 //! The final [`merge_topk`] is the same merge shard fan-out uses.
 //!
@@ -31,8 +35,8 @@
 use std::time::Instant;
 
 use p2h_core::{
-    kernels, merge_topk, Error, HyperplaneQuery, Neighbor, QueryScratch, Result, SearchParams,
-    SearchResult, SearchStats, LEAF_STRIP,
+    kernels, merge_topk, Error, HyperplaneQuery, QueryScratch, Result, SearchParams, SearchResult,
+    SearchStats, LEAF_STRIP,
 };
 
 use crate::index::{LiveIndex, LiveState};
@@ -86,20 +90,16 @@ fn search_layered(
     let mut lists = Vec::with_capacity(2);
 
     if let Some(base) = &state.base {
-        let tombs = state.base_tombs.len();
-        let surviving = state.base_ids.len() - tombs;
+        let surviving = state.base_ids.len() - state.base_tombs.len();
         let scan = remaining.min(surviving);
         let mut base_params = params.clone();
-        // Overfetch by the tombstone count: the k best survivors are always inside
-        // the top-(k + tombs) overall.
-        base_params.k = k + tombs;
         base_params.candidate_limit = params.candidate_limit.map(|_| {
             // Budgets count *surviving* points. Translate `scan` survivors into the
             // base-local position prefix that contains them (each tombstone inside
             // the prefix extends it by one position).
             let mut positions = scan;
-            for &tomb in &state.base_tombs {
-                if (tomb as usize) < positions {
+            for tomb in state.base_tombs.iter() {
+                if tomb < positions {
                     positions += 1;
                 } else {
                     break;
@@ -107,15 +107,14 @@ fn search_layered(
             }
             positions
         });
+        scratch.collector.set_excluded(&state.base_tombs);
         let base_result = base.as_index().search_with_scratch(query, &base_params, scratch);
+        scratch.collector.clear_excluded();
         stats.merge(&base_result.stats);
-        let list: Vec<Neighbor> = base_result
-            .neighbors
-            .into_iter()
-            .filter(|n| !state.base_tombs.contains(&(n.index as u32)))
-            .map(|n| Neighbor::new(state.base_ids[n.index] as usize, n.distance))
-            .take(k)
-            .collect();
+        let mut list = base_result.neighbors;
+        for n in &mut list {
+            n.index = state.base_ids[n.index] as usize;
+        }
         lists.push(list);
         remaining = remaining.saturating_sub(scan);
     }

@@ -63,6 +63,47 @@ fn hashing_baselines_are_exact_with_unlimited_budget() {
 }
 
 #[test]
+fn every_index_kind_honours_the_collectors_exclusion_filter() {
+    use p2hnns::core::{IdBitset, QueryScratch};
+
+    let points =
+        dataset(DataDistribution::GaussianClusters { clusters: 3, std_dev: 1.5 }, 900, 8, 7);
+    let queries = generate_queries(&points, 4, QueryDistribution::DataDifference, 9).unwrap();
+    let scan = LinearScan::new(points.clone());
+    let indexes: Vec<Box<dyn P2hIndex>> = vec![
+        Box::new(scan.clone()),
+        Box::new(BallTreeBuilder::new(50).build(&points).unwrap()),
+        Box::new(BcTreeBuilder::new(50).build(&points).unwrap()),
+        Box::new(NhIndex::build(&points, NhParams::new(2, 8)).unwrap()),
+        Box::new(FhIndex::build(&points, FhParams::new(2, 8, 3)).unwrap()),
+    ];
+    let mut scratch = QueryScratch::new();
+    for q in &queries {
+        // Exclude each query's exact top-5 and every 9th point.
+        let excluded: IdBitset = scan
+            .search_exact(q, 5)
+            .indices()
+            .into_iter()
+            .chain((0..points.len()).step_by(9))
+            .collect();
+        let survivors: Vec<f32> = scan
+            .search_exact(q, points.len())
+            .neighbors
+            .iter()
+            .filter(|n| !excluded.contains(n.index))
+            .take(10)
+            .map(|n| n.distance)
+            .collect();
+        for index in &indexes {
+            scratch.collector.set_excluded(&excluded);
+            let got = index.search_with_scratch(q, &SearchParams::exact(10), &mut scratch);
+            assert!(got.indices().iter().all(|&i| !excluded.contains(i)), "{}", index.name());
+            assert_eq!(got.distances(), survivors, "{}", index.name());
+        }
+    }
+}
+
+#[test]
 fn bc_tree_variants_agree_on_exact_results() {
     let points = dataset(DataDistribution::Correlated { rank: 4, noise: 0.2 }, 2_000, 12, 17);
     let queries = generate_queries(&points, 5, QueryDistribution::RandomNormal, 21).unwrap();
